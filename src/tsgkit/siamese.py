@@ -5,6 +5,11 @@ Architecture: embedding lookup -> conv(width 3, 64 filters, same padding)
 -> dense(128) -> sigmoid.  Pair similarity is exp(-L1) between the two
 embeddings; training minimizes binary cross-entropy with Adam.  All
 arithmetic is float64 and fully deterministic given the seed.
+
+The embedding is folded into the first conv: it is computed once per
+distinct token of the batch (`_embed_conv1`), and its backward pass is a
+segment sum over those tokens, so no gradient is scatter-added.  A
+training step runs both twins of its B pairs as one 2B batch.
 """
 
 from __future__ import annotations
@@ -126,22 +131,81 @@ def _conv_backward(dout, xp, w):
     return dx, dw, db
 
 
+def _embed_conv1(emb: np.ndarray, w: np.ndarray, b: np.ndarray, xb: np.ndarray):
+    """Embedding lookup followed by conv1 (same padding), folded together.
+
+    xb: [B, L] token indices, emb: [V, E], w: [F, K, E] -> z [B, L, F].
+    With U the batch's distinct tokens, T = emb[U] . w has shape [U, K, F]
+    and z[n, l] = b + sum over off of T[token at l + off - pad, off]; a
+    position outside the sequence contributes 0 (a zero row appended to T).
+    A token costs one row of T however often it occurs, so padding-heavy
+    batches do far fewer FLOPs than K shifted matmuls over every position.
+    Returns z and the cache `_embed_conv1_backward` needs.
+    """
+    nf, k, e = w.shape
+    pad = (k - 1) // 2
+    bsz, length = xb.shape
+    uniq, inv = np.unique(xb, return_inverse=True)
+    inv = inv.reshape(xb.shape)
+    eu = emb[uniq]
+    wr = w.transpose(1, 0, 2).reshape(k * nf, e)  # row off * F + f
+    t = np.zeros((len(uniq) + 1, k * nf))
+    t[:-1] = eu @ wr.T
+    t = t.reshape(-1, nf)  # row u * K + off; the last K rows are 0
+    # rows[n, j] = K * (distinct-token index at position j - pad), or K * U
+    # where j - pad lies outside the sequence.
+    rows = np.full((bsz, length + k - 1), k * len(uniq))
+    rows[:, pad : pad + length] = k * inv
+    z = np.broadcast_to(b, (bsz, length, nf)).copy()
+    for off in range(k):
+        z += t[rows[:, off : off + length] + off]
+    return z, (uniq, inv, eu, wr)
+
+
+def _embed_conv1_backward(dz: np.ndarray, cache, w: np.ndarray):
+    """Gradients (rows of d embedding for U, dw, db) of `_embed_conv1`.
+
+    dT[u, off] is the sum of dz over the positions l whose tap off reads
+    token u, a segment sum over the positions sorted by token.  U holds
+    each token once, so d embedding[U] = dT . w^T needs no scatter-add.
+    """
+    uniq, inv, eu, wr = cache
+    nf, k, e = w.shape
+    pad = (k - 1) // 2
+    bsz, length, _ = dz.shape
+    # Row n * (L + K - 1) + p + K - 1 - off of dzp is dz[n, p + pad - off],
+    # or 0 where that position lies outside the sequence.
+    dzp = np.pad(dz, ((0, 0), (k - 1 - pad, pad), (0, 0))).reshape(-1, nf)
+    n_ix, p_ix = np.divmod(np.argsort(inv, axis=None, kind="stable"), length)
+    base = n_ix * (length + k - 1) + p_ix + (k - 1)
+    counts = np.bincount(inv.ravel())
+    starts = np.cumsum(counts) - counts
+    dt = np.empty((len(uniq), k, nf))
+    for off in range(k):
+        dt[:, off, :] = np.add.reduceat(dzp[base - off], starts, axis=0)
+    dt = dt.reshape(len(uniq), k * nf)
+    deu = dt @ wr
+    dw = (dt.T @ eu).reshape(k, nf, e).transpose(1, 0, 2)
+    db = dz.reshape(bsz * length, nf).sum(axis=0)
+    return deu, dw, db
+
+
 def _pool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max pool width 2 stride 2 over axis 1; odd tails are dropped."""
-    bsz, length, ch = x.shape
-    length2 = length // 2
-    xw = x[:, : length2 * 2, :].reshape(bsz, length2, 2, ch)
-    idx = xw.argmax(axis=2)
-    return xw.max(axis=2), idx
+    """Max pool width 2 stride 2 over axis 1; odd tails are dropped.
+
+    Returns the pooled values and a mask that is True where the first
+    element of the window won; ties go to the first, as argmax would.
+    """
+    length2 = x.shape[1] // 2
+    first, second = x[:, 0 : length2 * 2 : 2, :], x[:, 1 : length2 * 2 : 2, :]
+    return np.maximum(first, second), first >= second
 
 
-def _pool2_backward(dout, idx, in_shape):
-    bsz, length2, ch = dout.shape
-    dx = np.zeros((bsz, length2, 2, ch))
-    b_ix, l_ix, c_ix = np.ogrid[:bsz, :length2, :ch]
-    dx[b_ix, l_ix, idx, c_ix] = dout
+def _pool2_backward(dout, mask, in_shape):
+    length2 = dout.shape[1]
     full = np.zeros(in_shape)
-    full[:, : length2 * 2, :] = dx.reshape(bsz, length2 * 2, ch)
+    full[:, 0 : length2 * 2 : 2, :] = np.where(mask, dout, 0.0)
+    full[:, 1 : length2 * 2 : 2, :] = np.where(mask, 0.0, dout)
     return full
 
 
@@ -160,23 +224,18 @@ def _forward_batch(model: SiameseModel, xb: np.ndarray, keep: bool = False):
         raise IndexOutOfVocab(
             f"index outside [0, {model.vocab_size}) in input batch"
         )
-    emb = p["embedding"][xb]  # [B, L, E]
-    z1, xp1 = _conv_same(emb, p["conv1_w"], p["conv1_b"])
+    z1, c1 = _embed_conv1(p["embedding"], p["conv1_w"], p["conv1_b"], xb)
     a1 = np.maximum(z1, 0.0)
     p1, i1 = _pool2(a1)
     z2, xp2 = _conv_same(p1, p["conv2_w"], p["conv2_b"])
     a2 = np.maximum(z2, 0.0)
     p2, i2 = _pool2(a2)
-    gidx = p2.argmax(axis=1)  # [B, F]
     gmax = p2.max(axis=1)
     zd = gmax @ p["dense_w"] + p["dense_b"]
     out = _sigmoid(zd)
     if not keep:
         return out
-    cache = dict(
-        xb=xb, z1=z1, xp1=xp1, a1=a1, i1=i1, p1=p1, z2=z2, xp2=xp2, a2=a2, i2=i2,
-        p2=p2, gidx=gidx, gmax=gmax, out=out,
-    )
+    cache = dict(c1=c1, z1=z1, i1=i1, z2=z2, xp2=xp2, i2=i2, p2=p2, gmax=gmax, out=out)
     return out, cache
 
 
@@ -192,17 +251,17 @@ def _backward_batch(model: SiameseModel, cache: dict, dout: np.ndarray) -> dict[
     dp2 = np.zeros_like(cache["p2"])
     bsz, nf = dgmax.shape
     b_ix, f_ix = np.ogrid[:bsz, :nf]
-    dp2[b_ix, cache["gidx"], f_ix] = dgmax
-    da2 = _pool2_backward(dp2, cache["i2"], cache["a2"].shape)
+    dp2[b_ix, cache["p2"].argmax(axis=1), f_ix] = dgmax
+    da2 = _pool2_backward(dp2, cache["i2"], cache["z2"].shape)
     dz2 = da2 * (cache["z2"] > 0)
     dp1, dw2, db2 = _conv_backward(dz2, cache["xp2"], p["conv2_w"])
     grads["conv2_w"], grads["conv2_b"] = dw2, db2
-    da1 = _pool2_backward(dp1, cache["i1"], cache["a1"].shape)
+    da1 = _pool2_backward(dp1, cache["i1"], cache["z1"].shape)
     dz1 = da1 * (cache["z1"] > 0)
-    demb, dw1, db1 = _conv_backward(dz1, cache["xp1"], p["conv1_w"])
+    deu, dw1, db1 = _embed_conv1_backward(dz1, cache["c1"], p["conv1_w"])
     grads["conv1_w"], grads["conv1_b"] = dw1, db1
     dembedding = np.zeros_like(p["embedding"])
-    np.add.at(dembedding, cache["xb"].reshape(-1), demb.reshape(-1, demb.shape[-1]))
+    dembedding[cache["c1"][0]] = deu  # rows of the distinct tokens, each once
     grads["embedding"] = dembedding
     return grads
 
@@ -218,6 +277,9 @@ def embed(model: SiameseModel, x: IndexSequence) -> Embedding:
 
 
 def embed_batch(model: SiameseModel, xs: list[IndexSequence]) -> np.ndarray:
+    """[len(xs), DENSE_DIM] embeddings; an empty list gives an empty array."""
+    if not xs:
+        return np.empty((0, DENSE_DIM))
     return _forward_batch(model, _as_batch(xs))
 
 
@@ -275,8 +337,9 @@ def sample_pairs(
 
 
 def _pair_grads_and_loss(model: SiameseModel, ab, bb, yb):
-    out_a, cache_a = _forward_batch(model, ab, keep=True)
-    out_b, cache_b = _forward_batch(model, bb, keep=True)
+    # Both twins run as one 2B batch: one forward, one backward.
+    out, cache = _forward_batch(model, np.concatenate([ab, bb]), keep=True)
+    out_a, out_b = out[: len(ab)], out[len(ab) :]
     diff = out_a - out_b
     l1 = np.abs(diff).sum(axis=1)
     p = np.exp(-l1)
@@ -288,9 +351,7 @@ def _pair_grads_and_loss(model: SiameseModel, ab, bb, yb):
     )
     dl1 = dp * -p
     dout_a = dl1[:, None] * np.sign(diff)
-    grads_a = _backward_batch(model, cache_a, dout_a)
-    grads_b = _backward_batch(model, cache_b, -dout_a)
-    grads = {k: grads_a[k] + grads_b[k] for k in grads_a}
+    grads = _backward_batch(model, cache, np.concatenate([dout_a, -dout_a]))
     return grads, losses
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import golden_path
 from tsgkit.siamese import (
+    DENSE_DIM,
     Hyper,
     IndexOutOfVocab,
     NoNegativePairs,
@@ -14,8 +15,12 @@ from tsgkit.siamese import (
     SiameseModel,
     TrainingPair,
     _as_batch,
+    _forward_batch,
     _pair_grads_and_loss,
+    _pool2,
+    _pool2_backward,
     embed,
+    embed_batch,
     init_model,
     load_model,
     model_content_hash,
@@ -75,6 +80,70 @@ def test_embed_golden_vector():
     with open(golden_path("embed_seed42.json")) as fh:
         want = np.array([float(v) for v in json.load(fh)])
     assert np.array_equal(got, want)
+
+
+def _direct_conv(x, w, b):
+    """Reference 'same' convolution: K zero-padded shifted matmuls."""
+    k = w.shape[1]
+    pad = (k - 1) // 2
+    length = x.shape[1]
+    xp = np.concatenate(
+        [np.zeros((len(x), pad, x.shape[2])), x, np.zeros((len(x), k - 1 - pad, x.shape[2]))],
+        axis=1,
+    )
+    return b + sum(xp[:, off : off + length] @ w[:, off].T for off in range(k))
+
+
+def _reference_forward(model, xb):
+    """Embedding lookup, then every layer written out directly."""
+    p = model.params
+
+    def pool(x):
+        half = x.shape[1] // 2
+        return x[:, : 2 * half].reshape(len(x), half, 2, -1).max(axis=2)
+
+    z1 = _direct_conv(p["embedding"][xb], p["conv1_w"], p["conv1_b"])
+    h = pool(np.maximum(z1, 0.0))
+    h = pool(np.maximum(_direct_conv(h, p["conv2_w"], p["conv2_b"]), 0.0))
+    zd = h.max(axis=1) @ p["dense_w"] + p["dense_b"]
+    return z1, 1.0 / (1.0 + np.exp(-zd))
+
+
+@pytest.mark.parametrize("max_len", [4, 5, 8, 11])
+def test_forward_matches_direct_conv_reference(max_len):
+    rng = np.random.default_rng(max_len)
+    for _ in range(5):
+        vocab = int(rng.integers(2, 30))
+        model = init_model(vocab, Hyper(max_len=max_len, seed=int(rng.integers(1 << 30))))
+        # Scale up the +-0.05 init so a wrong tap or row is not hidden
+        # under the 1e-12 bound by tiny activations.
+        for key in model.params:
+            model.params[key] *= 10.0
+        xs = []
+        for _ in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(0, max_len + 1))
+            xs.append(seq(*(int(v) for v in rng.integers(0, vocab, n)), max_len=max_len))
+        xb = _as_batch(xs)
+        out, cache = _forward_batch(model, xb, keep=True)
+        want_z1, want = _reference_forward(model, xb)
+        assert np.max(np.abs(cache["z1"] - want_z1)) <= 1e-12
+        assert np.max(np.abs(out - want)) <= 1e-12
+        batched = embed_batch(model, xs)
+        for i, x in enumerate(xs):
+            assert np.max(np.abs(batched[i] - embed(model, x).values)) <= 1e-12
+
+
+def test_embed_batch_of_nothing_is_empty(mini_model):
+    out = embed_batch(mini_model, [])
+    assert out.shape == (0, DENSE_DIM)
+
+
+def test_pool_tie_routes_gradient_to_first_element():
+    x = np.array([[[2.0], [2.0], [1.0], [3.0], [5.0]]])  # windows (2, 2), (1, 3); 5 dropped
+    pooled, mask = _pool2(x)
+    assert pooled.ravel().tolist() == [2.0, 3.0]
+    grad = _pool2_backward(np.array([[[7.0], [9.0]]]), mask, x.shape)
+    assert grad.ravel().tolist() == [7.0, 0.0, 0.0, 9.0, 0.0]
 
 
 # --- pair similarity and loss ------------------------------------------------
@@ -164,6 +233,44 @@ def test_gradient_check_against_central_differences():
             gf[j] = (lp - lm) / (2 * h)
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), np.linalg.norm(gf), 1e-12)
         assert rel < 1e-4, f"{name}: relative error {rel:.3e}"
+
+
+def test_gradient_check_with_padding_and_repeated_tokens():
+    # Rows shorter than max_len repeat index 0; 4 repeats within a row, and
+    # 3, 4 and 5 occur in both twins, so many positions share a token.
+    model = init_model(10, MINI)
+    ab = _as_batch([seq(4, 3, 4, 4, 7), seq(5, 3), seq(4, 9, 4, 4, 6, 5, 3)])
+    bb = _as_batch([seq(3, 5, 4), seq(5, 8, 5, 8, 2, 1, 4, 3), seq(3)])
+    yb = np.array([1.0, 0.0, 0.0])
+    analytic, _ = _pair_grads_and_loss(model, ab, bb, yb)
+
+    def total_loss():
+        _, losses = _pair_grads_and_loss(model, ab, bb, yb)
+        return float(losses.sum())
+
+    h = 1e-5
+    for name, tensor in model.params.items():
+        flat = tensor.reshape(-1)
+        if flat.size <= 1200:
+            idxs = np.arange(flat.size)
+        else:
+            idxs = np.sort(np.random.default_rng(4).choice(flat.size, 256, replace=False))
+        gf = np.empty(len(idxs))
+        for j, i in enumerate(idxs):
+            orig = flat[i]
+            flat[i] = orig + h
+            lp = total_loss()
+            flat[i] = orig - h
+            lm = total_loss()
+            flat[i] = orig
+            gf[j] = (lp - lm) / (2 * h)
+        ga = analytic[name].reshape(-1)[idxs]
+        rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), np.linalg.norm(gf), 1e-12)
+        assert rel < 1e-4, f"{name}: relative error {rel:.3e}"
+    # Exactly the embedding rows of tokens in the batch (0 included) get a gradient.
+    used = np.isin(np.arange(10), np.concatenate([ab, bb]))
+    assert np.all(np.abs(analytic["embedding"][used]).sum(axis=1) > 0)
+    assert not analytic["embedding"][~used].any()
 
 
 # --- pair sampling -----------------------------------------------------------
