@@ -61,7 +61,6 @@ from .synthesis import (
     generate_atoms,
     load_spec,
     synthesize,
-    synthesize_branch,
 )
 from .vectorize import BowVector, IndexSequence, Vocabulary, bow, build_vocabulary, encode
 

@@ -5,13 +5,22 @@ that pin the output span in each input, intersect the candidates across
 pairs, and fall back to predicate-guarded conditionals when no single
 branch explains every pair.  Optional negative examples (output = None)
 require the final program to fail on those inputs.
+
+A switch is built one case at a time: each case takes the largest subset
+of the still-uncovered pairs that has a branch and a guard predicate true
+on exactly that subset (among the uncovered pairs) and on no negative.
+Only a subset some candidate predicate picks out can be guarded, so the
+search visits those subsets alone -- at most one per predicate, plus all
+uncovered pairs when there are no negatives -- instead of all 2^n.  It
+visits them largest first and, within a size, in index order, and takes
+the first predicate in candidate order: the order and tie-breaks of a
+largest-first `itertools.combinations` walk, so the programs are the same.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 from .dsl import (
@@ -72,10 +81,6 @@ class ExampleSpec:
         for inp, out in self.pairs:
             if not out:
                 raise ValueError(f"empty output for input {inp!r}")
-            if out not in inp and _decompose(inp, out) is None:
-                raise ValueError(
-                    f"output {out!r} is not assembled from substrings of {inp!r}"
-                )
 
 
 VALID_PREPROCESS = ("split_pipes", "tag_clauses")
@@ -169,9 +174,9 @@ def generate_atoms(inp: str, out: str, bounds: Bounds = DEFAULT_BOUNDS) -> set[A
     return atoms
 
 
-def _atom_ok(atom: Atom, inp: str, out: str) -> bool:
+def _produces(expr: Atom | Branch | ExtractionProgram, inp: str, out: str) -> bool:
     try:
-        return atom.eval(inp) == out
+        return expr.eval(inp) == out
     except EvalFailure:
         return False
 
@@ -187,7 +192,7 @@ def _best_single_atom(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[
     survivors = [
         a
         for a in generate_atoms(first_in, first_out, bounds)
-        if all(_atom_ok(a, i, o) for i, o in pairs[1:])
+        if all(_produces(a, i, o) for i, o in pairs[1:])
     ]
     if not survivors:
         return None
@@ -195,7 +200,7 @@ def _best_single_atom(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[
     return best
 
 
-def _decompose(inp: str, out: str) -> Optional[list[tuple[str, str]]]:
+def _decompose(inp: str, out: str) -> list[tuple[str, str]]:
     """Greedy split of `out` into maximal input-substring spans and constants."""
     parts: list[tuple[str, str]] = []
     k = 0
@@ -241,7 +246,7 @@ def _align_parts(out: str, parts: list[tuple[str, str]]) -> Optional[list[str]]:
 def _multi_atom_branch(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[Branch]:
     first_in, first_out = pairs[0]
     parts = _decompose(first_in, first_out)
-    if parts is None or len(parts) > bounds.max_atoms:
+    if len(parts) > bounds.max_atoms:
         return None
     if all(kind == "const" for kind, _ in parts):
         return None
@@ -265,30 +270,16 @@ def _multi_atom_branch(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional
         cands = [
             a
             for a in generate_atoms(pairs[0][0], slot_texts[0], bounds)
-            if all(_atom_ok(a, p[0], t) for p, t in zip(pairs[1:], slot_texts[1:]))
+            if all(_produces(a, p[0], t) for p, t in zip(pairs[1:], slot_texts[1:]))
         ]
         cands = [a for a in cands if not isinstance(a, ConstStr)]
         if not cands:
             return None
         atoms.append(min((Branch((a,)) for a in cands), key=_branch_rank_key).atoms[0])
     branch = Branch(tuple(atoms))
-    if all(_atom_ok_branch(branch, i, o) for i, o in pairs):
+    if all(_produces(branch, i, o) for i, o in pairs):
         return branch
     return None
-
-
-def _atom_ok_branch(branch: Branch, inp: str, out: str) -> bool:
-    try:
-        return branch.eval(inp) == out
-    except EvalFailure:
-        return False
-
-
-def synthesize_branch(
-    spec: ExampleSpec, bounds: Bounds = DEFAULT_BOUNDS
-) -> Optional[Branch]:
-    """Highest-ranked branch consistent with every pair, or None."""
-    return _branch_for_pairs(spec.pairs, bounds)
 
 
 def _branch_for_pairs(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[Branch]:
@@ -309,17 +300,6 @@ def _predicate_candidates(bounds: Bounds):
     for tc in ALPHABET:
         for occ in range(1, bounds.max_occurrence + 1):
             yield Predicate("contains", tc, occ)
-
-
-def _find_predicate(
-    true_on: list[str], false_on: list[str], bounds: Bounds
-) -> Optional[Predicate]:
-    for pred in _predicate_candidates(bounds):
-        if all(pred.holds(s) for s in true_on) and not any(
-            pred.holds(s) for s in false_on
-        ):
-            return pred
-    return None
 
 
 def _program_succeeds(prog: ExtractionProgram, s: str) -> bool:
@@ -348,12 +328,21 @@ def synthesize(
             _verify(prog, pairs, negatives)
             return prog
 
-    branch_cache: dict[tuple[int, ...], Optional[Branch]] = {}
+    # The single attempt already tried the subset of all pairs.
+    branch_cache: dict[tuple[int, ...], Optional[Branch]] = {tuple(range(len(pairs))): single}
 
     def branch_for(subset: tuple[int, ...]) -> Optional[Branch]:
         if subset not in branch_cache:
             branch_cache[subset] = _branch_for_pairs([pairs[i] for i in subset], bounds)
         return branch_cache[subset]
+
+    # Truth table, built once: the pairs each predicate holds on, for every
+    # candidate predicate that holds on no negative.
+    table = [
+        (pred, [i for i, (inp, _) in enumerate(pairs) if pred.holds(inp)])
+        for pred in _predicate_candidates(bounds)
+        if not any(pred.holds(n) for n in negatives)
+    ]
 
     remaining = list(range(len(pairs)))
     partitions: list[tuple[Optional[Predicate], Branch]] = []
@@ -363,36 +352,32 @@ def synthesize(
                 f"more than {bounds.max_branches} branches required",
                 [pairs[i] for i in remaining],
             )
-        found = None
-        # Largest coverable subset first; combinations() emits same-size
-        # subsets in index order, so ties go to the earliest example.
-        for size in range(len(remaining), 0, -1):
-            for subset in combinations(remaining, size):
-                branch = branch_for(subset)
-                if branch is None:
-                    continue
-                rest = [i for i in remaining if i not in subset]
-                needs_predicate = bool(rest) or bool(negatives)
-                pred = None
-                if needs_predicate:
-                    pred = _find_predicate(
-                        [pairs[i][0] for i in subset],
-                        [pairs[i][0] for i in rest] + negatives,
-                        bounds,
-                    )
-                    if pred is None:
-                        continue
-                found = (list(subset), branch, pred)
+        # A case needs a predicate true on exactly its pairs among the
+        # remaining ones and on no negative, so the only subsets that can be
+        # accepted are those a predicate picks out, guarded by the first
+        # predicate in candidate order that picks them out.  With no
+        # negatives, all remaining pairs need no guard.
+        left = set(remaining)
+        guards: dict[tuple[int, ...], Optional[Predicate]] = {}
+        if not negatives:
+            guards[tuple(remaining)] = None
+        for pred, holds_on in table:
+            subset = tuple(i for i in holds_on if i in left)
+            if subset:
+                guards.setdefault(subset, pred)
+        # Largest subset first, same-size subsets in index order: the order
+        # combinations(remaining, size) emits them, so ties go to the
+        # earliest example.
+        for subset in sorted(guards, key=lambda sub: (-len(sub), sub)):
+            branch = branch_for(subset)
+            if branch is not None:
                 break
-            if found:
-                break
-        if found is None:
+        else:
             raise SynthesisFailure(
                 "no branch/predicate covers the remaining examples",
                 [pairs[i] for i in remaining],
             )
-        subset, branch, pred = found
-        partitions.append((pred, branch))
+        partitions.append((guards[subset], branch))
         remaining = [i for i in remaining if i not in subset]
 
     if len(partitions) == 1 and partitions[0][0] is None:
@@ -409,16 +394,8 @@ def synthesize(
 def _verify(
     prog: ExtractionProgram, pairs: list[tuple[str, str]], negatives: list[str]
 ) -> None:
-    bad = []
-    for inp, out in pairs:
-        try:
-            if prog.eval(inp) != out:
-                bad.append((inp, out))
-        except EvalFailure:
-            bad.append((inp, out))
-    for neg in negatives:
-        if _program_succeeds(prog, neg):
-            bad.append((neg, "<must fail>"))
+    bad = [(inp, out) for inp, out in pairs if not _produces(prog, inp, out)]
+    bad += [(neg, "<must fail>") for neg in negatives if _program_succeeds(prog, neg)]
     if bad:
         raise SynthesisFailure(
             f"synthesized program does not reproduce {len(bad)} example(s)", bad
