@@ -8,10 +8,10 @@ Run from the repository root:
 
 from tsgkit import evalharness
 from tsgkit.config import data_path
-from tsgkit.identify import classify, compute_prototypes
+from tsgkit.identify import classify, fit
 from tsgkit.ingest import RawDocument, clean_document, segment
-from tsgkit.siamese import Hyper, sample_pairs, train
-from tsgkit.vectorize import build_vocabulary, encode
+from tsgkit.siamese import Hyper
+from tsgkit.vectorize import encode
 
 # --- ingest ------------------------------------------------------------------
 # Cleaning blanks image embeds and table rows in place, so the line
@@ -28,21 +28,15 @@ print()
 
 # --- train the twin network on the bundled corpus ----------------------------
 # The meta-task is pairwise: "do these two statements share a component
-# type?"  Classification afterwards is nearest-prototype search.
+# type?"  Classification afterwards is nearest-prototype search against
+# each class's mean embedding.
 
 corpus = evalharness.load_corpus(data_path("corpus.jsonl"))
-vocab = build_vocabulary([s for s, _ in corpus.examples])
 hyper = Hyper(max_len=32, seed=42, epochs=15)
-encoded = [(encode(s, vocab, hyper.max_len), label) for s, label in corpus.examples]
-pairs = sample_pairs(encoded, seed=42, n_pairs=2000)
-print(f"training on {len(pairs)} statement pairs ...")
-model = train(pairs, hyper, vocab.size)
+n_pairs = 2000
+print(f"training on {n_pairs} statement pairs ...")
+vocab, model, prototypes = fit(corpus.examples, hyper, n_pairs)
 print(f"epoch mean loss: {model.loss_trace[0]:.3f} -> {model.loss_trace[-1]:.3f}\n")
-
-support: dict[str, list] = {}
-for x, label in encoded:
-    support.setdefault(label, []).append(x)
-prototypes = compute_prototypes(model, support)
 
 # --- classify every statement of the guide -----------------------------------
 

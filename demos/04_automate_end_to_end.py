@@ -15,12 +15,11 @@ import os
 from tsgkit import evalharness
 from tsgkit.config import data_path
 from tsgkit.extract import ParserRegistry, RegistryEntry
-from tsgkit.identify import compute_prototypes
+from tsgkit.identify import fit
 from tsgkit.ingest import RawDocument
 from tsgkit.pipeline import emit_workflow, schematize, workflow_to_json
-from tsgkit.siamese import Hyper, sample_pairs, train
+from tsgkit.siamese import Hyper
 from tsgkit.synthesis import load_spec, synthesize
-from tsgkit.vectorize import build_vocabulary, encode
 
 PARSER_SPECS = (
     "powershell_variable", "powershell_command", "powershell_param_name",
@@ -31,15 +30,8 @@ PARSER_SPECS = (
 )
 
 corpus = evalharness.load_corpus(data_path("corpus.jsonl"))
-vocab = build_vocabulary([s for s, _ in corpus.examples])
-hyper = Hyper(max_len=32, seed=42, epochs=15)
-encoded = [(encode(s, vocab, hyper.max_len), label) for s, label in corpus.examples]
 print("training the classifier ...")
-model = train(sample_pairs(encoded, 42, 2000), hyper, vocab.size)
-support: dict[str, list] = {}
-for x, label in encoded:
-    support.setdefault(label, []).append(x)
-prototypes = compute_prototypes(model, support)
+vocab, model, prototypes = fit(corpus.examples, Hyper(max_len=32, seed=42, epochs=15), 2000)
 
 print("synthesizing the parser registry ...")
 registry = ParserRegistry()

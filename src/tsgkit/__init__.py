@@ -40,6 +40,7 @@ from .identify import (
     Prototype,
     classify,
     compute_prototypes,
+    fit,
     knn_bow_classify,
 )
 from .ingest import RawDocument, Statement, clean_document, segment, tokenize
@@ -48,7 +49,7 @@ from .siamese import (
     Hyper,
     SiameseModel,
     TrainingPair,
-    embed,
+    embed_batch,
     pair_loss,
     pair_similarity,
     sample_pairs,

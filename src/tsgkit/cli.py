@@ -22,16 +22,25 @@ from .extract import (
     load_registry,
     save_registry,
 )
-from .identify import classify, compute_prototypes, load_prototypes, save_prototypes
+from .identify import classify, fit, load_prototypes, save_prototypes
 from .ingest import RawDocument, Statement, tokenize
 from .pipeline import emit_workflow, schematize, schematized_to_json, workflow_to_json
-from .siamese import Hyper, load_model, sample_pairs, save_model, train
+from .siamese import Hyper, load_model, save_model
 from .vectorize import build_vocabulary, encode, load_vocabulary, save_vocabulary
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_SYNTH = 4
+
+
+# Config keys that a command-line flag of the same name (with dashes) overrides.
+OVERRIDES = (
+    ("vocab", str), ("model", str), ("prototypes", str), ("registry", str),
+    ("lexicon", str), ("max_len", int), ("learning_rate", float),
+    ("epochs", int), ("batch_size", int), ("n_pairs", int),
+    ("min_freq", int), ("knn_k", int),
+)
 
 
 class InputError(Exception):
@@ -57,10 +66,7 @@ def _load_cfg(args) -> Config:
             raise ConfigError(str(exc)) from exc
     else:
         cfg = Config()
-    for key in (
-        "vocab", "model", "prototypes", "registry", "lexicon", "max_len",
-        "learning_rate", "epochs", "batch_size", "n_pairs", "min_freq", "knn_k",
-    ):
+    for key, _ in OVERRIDES:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
@@ -107,17 +113,7 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     seed = _require_seed(cfg)
     corpus = _read_corpus(args.corpus)
-    statements = [s for s, _ in corpus.examples]
-    vocab = build_vocabulary(statements, cfg.min_freq)
-    encoded = [
-        (encode(s, vocab, cfg.max_len), label) for s, label in corpus.examples
-    ]
-    pairs = sample_pairs(encoded, seed, cfg.n_pairs)
-    model = train(pairs, _hyper(cfg, seed), vocab.size)
-    support: dict[str, list] = {}
-    for x, label in encoded:
-        support.setdefault(label, []).append(x)
-    protos = compute_prototypes(model, support)
+    vocab, model, protos = fit(corpus.examples, _hyper(cfg, seed), cfg.n_pairs, cfg.min_freq)
     os.makedirs(os.path.dirname(cfg.model) or ".", exist_ok=True)
     save_vocabulary(vocab, cfg.vocab)
     save_model(model, cfg.model)
@@ -249,19 +245,10 @@ def run_comparison(corpus, k: int, seed: int, cfg: Config):
     from .vectorize import bow
 
     def siamese_trainer(train_examples, fold_seed):
-        vocab = build_vocabulary([s for s, _ in train_examples], cfg.min_freq)
-        encoded = [
-            (encode(s, vocab, cfg.max_len), label) for s, label in train_examples
-        ]
-        pairs = sample_pairs(encoded, fold_seed, cfg.n_pairs)
-        model = train(pairs, _hyper(cfg, fold_seed), vocab.size)
-        support: dict[str, list] = {}
-        for x, label in encoded:
-            support.setdefault(label, []).append(x)
-        return model, vocab, compute_prototypes(model, support)
+        return fit(train_examples, _hyper(cfg, fold_seed), cfg.n_pairs, cfg.min_freq)
 
     def siamese_classifier(state, stmt):
-        model, vocab, protos = state
+        vocab, model, protos = state
         return classify(model, protos, encode(stmt, vocab, cfg.max_len)).label
 
     def knn_trainer(train_examples, fold_seed):
@@ -287,13 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--seed", type=int, help="random seed (required for train/eval)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    for key, kind in (
-        ("vocab", str), ("model", str), ("prototypes", str), ("registry", str),
-        ("lexicon", str), ("max-len", int), ("learning-rate", float),
-        ("epochs", int), ("batch-size", int), ("n-pairs", int),
-        ("min-freq", int), ("knn-k", int),
-    ):
-        parser.add_argument(f"--{key}", type=kind, dest=key.replace("-", "_"))
+    for key, kind in OVERRIDES:
+        parser.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key)
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("train", help="train the classifier on a labeled corpus")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 
@@ -41,8 +42,8 @@ class TokenClass:
     name: str
     pattern: str
 
-    def matches(self, s: str) -> list[tuple[int, int]]:
-        return _matches(self, s)
+    def matches(self, s: str) -> tuple[tuple[int, int], ...]:
+        return _match_spans(self.name, s)
 
 
 # Ordered alphabet. ClauseTag is appended last so it does not perturb the
@@ -75,20 +76,15 @@ CLASS_BY_NAME: dict[str, TokenClass] = {tc.name: tc for tc in ALPHABET}
 
 _COMPILED: dict[str, re.Pattern] = {tc.name: re.compile(tc.pattern) for tc in ALPHABET}
 
-# Per-string match cache; keyed on (class name, string).  Match lists are
-# leftmost, non-overlapping, and longest for these patterns (all greedy).
-_match_cache: dict[tuple[str, str], list[tuple[int, int]]] = {}
 
+@lru_cache(maxsize=200_000)
+def _match_spans(name: str, s: str) -> tuple[tuple[int, int], ...]:
+    """(start, end) of each match of class `name` in s; cached per (name, s).
 
-def _matches(tc: TokenClass, s: str) -> list[tuple[int, int]]:
-    key = (tc.name, s)
-    got = _match_cache.get(key)
-    if got is None:
-        got = [(m.start(), m.end()) for m in _COMPILED[tc.name].finditer(s)]
-        if len(_match_cache) > 200_000:
-            _match_cache.clear()
-        _match_cache[key] = got
-    return got
+    Matches are leftmost, non-overlapping, and longest for these patterns
+    (all greedy).  A tuple, so no caller can change a cached result.
+    """
+    return tuple((m.start(), m.end()) for m in _COMPILED[name].finditer(s))
 
 
 @dataclass(frozen=True)
@@ -124,13 +120,13 @@ class RegPos:
 
     def boundaries(self, s: str) -> list[int]:
         if self.left is not None and self.right is not None:
-            ends = {end for _, end in _matches(self.left, s)}
+            ends = {end for _, end in self.left.matches(s)}
             return sorted(
-                start for start, _ in _matches(self.right, s) if start in ends
+                start for start, _ in self.right.matches(s) if start in ends
             )
         if self.left is not None:
-            return sorted({end for _, end in _matches(self.left, s)})
-        return sorted({start for start, _ in _matches(self.right, s)})
+            return sorted({end for _, end in self.left.matches(s)})
+        return sorted({start for start, _ in self.right.matches(s)})
 
     def resolve(self, s: str) -> int:
         bs = self.boundaries(s)
@@ -200,7 +196,7 @@ class Predicate:
             raise ValueError("occurrence must be >= 1")
 
     def holds(self, s: str) -> bool:
-        ms = _matches(self.tc, s)
+        ms = self.tc.matches(s)
         if self.kind == "startswith":
             return any(start == 0 for start, _ in ms)
         if self.kind == "endswith":

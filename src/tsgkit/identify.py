@@ -1,5 +1,5 @@
-"""Component-type classification: nearest prototype in embedding space,
-plus the bag-of-words KNN baseline."""
+"""Component-type classification: the fit sequence, nearest prototype in
+embedding space, and the bag-of-words KNN baseline."""
 
 from __future__ import annotations
 
@@ -8,8 +8,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .siamese import SiameseModel, embed_batch
-from .vectorize import BowVector, IndexSequence
+from .ingest import Statement
+from .siamese import (
+    Hyper,
+    SiameseModel,
+    embed_batch,
+    sample_pairs,
+    similarity_from_embeddings,
+    train,
+)
+from .vectorize import BowVector, IndexSequence, Vocabulary, build_vocabulary, encode
 
 COMPONENT_TYPES = (
     "adf",
@@ -62,6 +70,25 @@ def compute_prototypes(
     return protos
 
 
+def fit(
+    examples: list[tuple[Statement, str]], hyper: Hyper, n_pairs: int, min_freq: int = 1
+) -> tuple[Vocabulary, SiameseModel, list[Prototype]]:
+    """Vocabulary, trained twin network and per-class prototypes for `examples`.
+
+    Builds the vocabulary, encodes to `hyper.max_len`, samples `n_pairs`
+    pairs and trains, both with `hyper.seed`, then takes each class's mean
+    embedding as its prototype.
+    """
+    vocab = build_vocabulary([s for s, _ in examples], min_freq)
+    encoded = [(encode(s, vocab, hyper.max_len), label) for s, label in examples]
+    pairs = sample_pairs(encoded, hyper.seed, n_pairs)
+    model = train(pairs, hyper, vocab.size)
+    support: dict[str, list[IndexSequence]] = {}
+    for x, label in encoded:
+        support.setdefault(label, []).append(x)
+    return vocab, model, compute_prototypes(model, support)
+
+
 def classify(
     model: SiameseModel, protos: list[Prototype], x: IndexSequence
 ) -> Classification:
@@ -71,7 +98,7 @@ def classify(
     ex = embed_batch(model, [x])[0]
     per_class: dict[str, float] = {}
     for p in sorted(protos, key=lambda p: p.label):
-        per_class[p.label] = float(np.exp(-np.abs(ex - p.vector).sum()))
+        per_class[p.label] = similarity_from_embeddings(ex, p.vector)
     # Strict > keeps the lexicographically smallest class on ties.
     best = None
     for c in sorted(per_class):

@@ -266,16 +266,6 @@ def _backward_batch(model: SiameseModel, cache: dict, dout: np.ndarray) -> dict[
     return grads
 
 
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    values: np.ndarray
-
-
-def embed(model: SiameseModel, x: IndexSequence) -> Embedding:
-    out = _forward_batch(model, _as_batch([x]))
-    return Embedding(out[0])
-
-
 def embed_batch(model: SiameseModel, xs: list[IndexSequence]) -> np.ndarray:
     """[len(xs), DENSE_DIM] embeddings; an empty list gives an empty array."""
     if not xs:
@@ -284,17 +274,19 @@ def embed_batch(model: SiameseModel, xs: list[IndexSequence]) -> np.ndarray:
 
 
 def similarity_from_embeddings(ea: np.ndarray, eb: np.ndarray) -> float:
+    """exp(-L1 distance) between two embeddings; in (0, 1]."""
     return float(np.exp(-np.abs(ea - eb).sum()))
 
 
 def pair_similarity(model: SiameseModel, a: IndexSequence, b: IndexSequence) -> float:
-    """exp(-L1 distance) between the twin embeddings; in (0, 1]."""
-    return similarity_from_embeddings(embed(model, a).values, embed(model, b).values)
+    """Similarity of the twin embeddings of a and b, each embedded on its own."""
+    ea, eb = (embed_batch(model, [x])[0] for x in (a, b))
+    return similarity_from_embeddings(ea, eb)
 
 
-def pair_loss(p: float, y: int) -> float:
-    """Binary cross-entropy on the clamped pair probability."""
-    pc = min(max(p, LOSS_EPS), 1.0 - LOSS_EPS)
+def pair_loss(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Binary cross-entropy of each clamped pair probability p against its label y."""
+    pc = np.clip(p, LOSS_EPS, 1.0 - LOSS_EPS)
     return -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
 
 
@@ -343,9 +335,9 @@ def _pair_grads_and_loss(model: SiameseModel, ab, bb, yb):
     diff = out_a - out_b
     l1 = np.abs(diff).sum(axis=1)
     p = np.exp(-l1)
-    pc = np.clip(p, LOSS_EPS, 1.0 - LOSS_EPS)
-    losses = -(yb * np.log(pc) + (1 - yb) * np.log(1.0 - pc))
+    losses = pair_loss(p, yb)
     # dL/dp is zero where the clamp is active.
+    pc = np.clip(p, LOSS_EPS, 1.0 - LOSS_EPS)
     dp = np.where(
         (p > LOSS_EPS) & (p < 1.0 - LOSS_EPS), -yb / pc + (1 - yb) / (1.0 - pc), 0.0
     )
@@ -399,8 +391,8 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: little-endian float64 tensors in fixed order, plus a
-# sha256 content hash so determinism can be checked cheaply.
+# Serialization: little-endian float64 tensors in fixed order, followed by
+# the sha256 of header and tensors, which `load_model` checks.
 
 
 def save_model(model: SiameseModel, path: str) -> None:
@@ -421,15 +413,6 @@ def save_model(model: SiameseModel, path: str) -> None:
     digest = hashlib.sha256(head + body).digest()
     with open(path, "wb") as fh:
         fh.write(head + body + digest)
-
-
-def model_content_hash(model: SiameseModel) -> str:
-    return hashlib.sha256(
-        b"".join(
-            np.ascontiguousarray(model.params[n], dtype="<f8").tobytes()
-            for n in TENSOR_ORDER
-        )
-    ).hexdigest()
 
 
 def load_model(path: str) -> SiameseModel:

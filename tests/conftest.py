@@ -10,11 +10,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 from tsgkit import evalharness
 from tsgkit.config import data_path
 from tsgkit.extract import ParserRegistry, RegistryEntry
-from tsgkit.identify import compute_prototypes
+from tsgkit.identify import fit
 from tsgkit.ingest import RawDocument
-from tsgkit.siamese import Hyper, sample_pairs, train
+from tsgkit.siamese import Hyper
 from tsgkit.synthesis import load_spec, synthesize
-from tsgkit.vectorize import build_vocabulary, encode
 
 HERE = os.path.dirname(__file__)
 GOLDEN_DIR = os.path.join(HERE, "goldens")
@@ -75,16 +74,7 @@ def corpus():
 @pytest.fixture(scope="session")
 def trained(corpus):
     """(model, vocab, prototypes) trained once on the bundled corpus."""
-    vocab = build_vocabulary([s for s, _ in corpus.examples])
-    encoded = [
-        (encode(s, vocab, ACC_HYPER.max_len), label) for s, label in corpus.examples
-    ]
-    pairs = sample_pairs(encoded, ACC_SEED, ACC_N_PAIRS)
-    model = train(pairs, ACC_HYPER, vocab.size)
-    support: dict[str, list] = {}
-    for x, label in encoded:
-        support.setdefault(label, []).append(x)
-    protos = compute_prototypes(model, support)
+    vocab, model, protos = fit(corpus.examples, ACC_HYPER, ACC_N_PAIRS)
     return model, vocab, protos
 
 

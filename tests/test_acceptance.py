@@ -170,7 +170,7 @@ def test_c05_gradient_check():
 
 def test_c06_prototype_oracle(trained, corpus):
     from tsgkit.identify import compute_prototypes
-    from tsgkit.siamese import embed
+    from tsgkit.siamese import embed_batch
     from tsgkit.vectorize import encode
 
     model, vocab, _ = trained
@@ -180,7 +180,7 @@ def test_c06_prototype_oracle(trained, corpus):
     protos = {p.label: p.vector for p in compute_prototypes(model, support)}
     worst = 0.0
     for label, xs in sorted(support.items()):
-        embeddings = [embed(model, x).values for x in xs]
+        embeddings = [embed_batch(model, [x])[0] for x in xs]
         brute = np.array(
             [math.fsum(e[i] for e in embeddings) / len(embeddings) for i in range(128)]
         )

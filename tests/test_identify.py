@@ -14,7 +14,7 @@ from tsgkit.identify import (
     load_prototypes,
     save_prototypes,
 )
-from tsgkit.siamese import Hyper, embed, init_model
+from tsgkit.siamese import Hyper, embed_batch, init_model
 from tsgkit.vectorize import BowVector, IndexSequence
 
 
@@ -30,7 +30,7 @@ def model():
 def test_single_example_prototype_equals_embedding(model):
     x = seq(2, 3, 4)
     protos = compute_prototypes(model, {"k": [x]})
-    assert np.array_equal(protos[0].vector, embed(model, x).values)
+    assert np.array_equal(protos[0].vector, embed_batch(model, [x])[0])
     assert protos[0].support_count == 1
 
 
@@ -44,7 +44,7 @@ def test_duplicate_examples_share_prototype(model):
 def test_prototype_matches_brute_force_mean(model):
     xs = [seq(2, 3), seq(4, 5, 6), seq(7), seq(8, 9, 10, 11)]
     proto = compute_prototypes(model, {"k": xs})[0].vector
-    embeddings = [embed(model, x).values for x in xs]
+    embeddings = [embed_batch(model, [x])[0] for x in xs]
     brute = [
         math.fsum(e[i] for e in embeddings) / len(embeddings) for i in range(128)
     ]
@@ -67,7 +67,7 @@ def test_classify_self_support_wins(model):
 
 def test_classify_tie_breaks_lexicographically(model):
     x = seq(2, 3)
-    vec = embed(model, x).values
+    vec = embed_batch(model, [x])[0]
     protos = [Prototype("zeta", vec.copy(), 1), Prototype("alpha", vec.copy(), 1)]
     assert classify(model, protos, x).label == "alpha"
 
@@ -90,7 +90,7 @@ def test_label_equals_nearest_prototype_under_l1(model):
     )
     for x in [seq(2), seq(9, 9), seq(4, 7, 2), seq(11)]:
         got = classify(model, protos, x)
-        ex = embed(model, x).values
+        ex = embed_batch(model, [x])[0]
         dists = {p.label: float(np.abs(ex - p.vector).sum()) for p in protos}
         nearest = min(sorted(dists), key=lambda c: dists[c])
         assert got.label == nearest
@@ -102,11 +102,11 @@ def test_weighted_sum_oracle_agrees_on_separated_support(model):
     support = {"a": [seq(2), seq(2, 3)], "b": [seq(9), seq(9, 10)]}
     protos = compute_prototypes(model, support)
     for x in [seq(2), seq(2, 3), seq(9), seq(9, 10)]:
-        ex = embed(model, x).values
+        ex = embed_batch(model, [x])[0]
         votes = {}
         for label, members in support.items():
             votes[label] = sum(
-                math.exp(-float(np.abs(ex - embed(model, m).values).sum()))
+                math.exp(-float(np.abs(ex - embed_batch(model, [m])[0]).sum()))
                 for m in members
             )
         oracle = max(sorted(votes), key=lambda c: votes[c])

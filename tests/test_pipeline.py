@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import read_golden
 from tsgkit.extract import ParsedComponent
-from tsgkit.ingest import RawDocument, clean_document
+from tsgkit.identify import COMPONENT_TYPES, compute_prototypes
+from tsgkit.ingest import RawDocument, Statement, clean_document, tokenize
 from tsgkit.pipeline import (
     Entry,
     SchematizedTSG,
@@ -13,6 +16,8 @@ from tsgkit.pipeline import (
     schematized_to_json,
     workflow_to_json,
 )
+from tsgkit.siamese import Hyper, init_model
+from tsgkit.vectorize import build_vocabulary, encode
 
 
 @pytest.fixture(scope="module")
@@ -114,18 +119,20 @@ def test_code_cells_iff_automatable(schema):
         assert (cell.kind == "code") == entry.automatable
 
 
-def test_provenance_every_surviving_line_in_one_cell(sample_doc, schema):
-    wf = emit_workflow(schema)
-    cleaned = clean_document(sample_doc)
-    covered = {}
+def assert_each_nonblank_line_in_one_cell(doc, wf):
+    covered = set()
     for cell in wf.cells:
         lo, hi = cell.origin_lines
         for line in range(lo, hi + 1):
             assert line not in covered, f"line {line} in two cells"
-            covered[line] = cell
-    for lineno, text in enumerate(cleaned.text.split("\n"), start=1):
+            covered.add(line)
+    for lineno, text in enumerate(clean_document(doc).text.split("\n"), start=1):
         if text.strip():
             assert lineno in covered, f"line {lineno} lost"
+
+
+def test_provenance_every_surviving_line_in_one_cell(sample_doc, schema):
+    assert_each_nonblank_line_in_one_cell(sample_doc, emit_workflow(schema))
 
 
 def test_schema_json_golden(schema):
@@ -167,3 +174,51 @@ def test_schema_json_shape(schema):
             "line_start", "line_end", "raw", "component",
             "similarity", "parsed", "automatable",
         ]
+
+
+# --- robustness on Markdown-like input ----------------------------------------
+
+# Pieces of the Markdown a guide may hold, plus text it should not: stray
+# and unbalanced braces, pipe runs, fences, URLs, image embeds, non-ASCII
+# text, control characters, and lines far longer than `max_len` tokens.
+FRAGMENTS = (
+    "{", "}", "{{", "}}", "{ $x = 1", "|", "||", "| a | b |", "| where x > 1",
+    "```", "```powershell", "# Heading", "- item", "> quote", "<br>", "<tenant id>",
+    "https://portal.example.com/a?b=c&d=%20", "![graph](img/a.png)", "[link](x)",
+    "$rules = Get-TransportRule -Organization $org", "StormEvents | count",
+    "If the status is False delete the resource", "Ünïcödé ✓ 日本語 🙂",
+    "\r", "\t", "\x00", " ", "word " * 60,
+)
+LINES = st.lists(
+    st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=30)), max_size=5
+).map("".join)
+DOCUMENTS = st.lists(LINES, max_size=12).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def untrained():
+    """(model, vocab, prototypes) of an untrained network over a tiny vocabulary."""
+    texts = [
+        "run the pipeline", "open the dashboard", "StormEvents | count",
+        "$x = Get-Item", "tail the logs", "merlin run job", "if it fails retry",
+    ]
+    statements = [Statement(t, 1, 1, tuple(tokenize(t))) for t in texts]
+    vocab = build_vocabulary(statements)
+    model = init_model(vocab.size, Hyper(max_len=8, seed=5))
+    support = {
+        label: [encode(stmt, vocab, model.hyper.max_len)]
+        for label, stmt in zip(COMPONENT_TYPES, statements)
+    }
+    return model, vocab, compute_prototypes(model, support)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=DOCUMENTS)
+def test_markdown_like_input_never_crashes(text, untrained, registry):
+    model, vocab, protos = untrained
+    doc = RawDocument(text, "fuzz.md")
+    schema = schematize(doc, model, vocab, protos, registry)
+    workflow = emit_workflow(schema)
+    json.loads(schematized_to_json(schema))
+    json.loads(workflow_to_json(workflow))
+    assert_each_nonblank_line_in_one_cell(doc, workflow)

@@ -19,11 +19,9 @@ from tsgkit.siamese import (
     _pair_grads_and_loss,
     _pool2,
     _pool2_backward,
-    embed,
     embed_batch,
     init_model,
     load_model,
-    model_content_hash,
     pair_loss,
     pair_similarity,
     sample_pairs,
@@ -57,26 +55,26 @@ def zero_model(vocab_size=10, hyper=MINI) -> SiameseModel:
 
 
 def test_zero_network_embeds_to_half():
-    out = embed(zero_model(), seq(1, 2, 3)).values
+    out = embed_batch(zero_model(), [seq(1, 2, 3)])[0]
     assert out.shape == (128,)
     assert np.allclose(out, 0.5)
 
 
 def test_embed_deterministic(mini_model):
     x = seq(2, 5, 3)
-    a = embed(mini_model, x).values
-    b = embed(mini_model, x).values
+    a = embed_batch(mini_model, [x])[0]
+    b = embed_batch(mini_model, [x])[0]
     assert np.array_equal(a, b)
 
 
 def test_embed_rejects_out_of_vocab(mini_model):
     with pytest.raises(IndexOutOfVocab):
-        embed(mini_model, seq(99))
+        embed_batch(mini_model, [seq(99)])
 
 
 def test_embed_golden_vector():
     model = init_model(10, Hyper(max_len=8, seed=42))
-    got = embed(model, seq(2, 5, 3, 9, 7, 4)).values
+    got = embed_batch(model, [seq(2, 5, 3, 9, 7, 4)])[0]
     with open(golden_path("embed_seed42.json")) as fh:
         want = np.array([float(v) for v in json.load(fh)])
     assert np.array_equal(got, want)
@@ -130,7 +128,7 @@ def test_forward_matches_direct_conv_reference(max_len):
         assert np.max(np.abs(out - want)) <= 1e-12
         batched = embed_batch(model, xs)
         for i, x in enumerate(xs):
-            assert np.max(np.abs(batched[i] - embed(model, x).values)) <= 1e-12
+            assert np.max(np.abs(batched[i] - embed_batch(model, [x])[0])) <= 1e-12
 
 
 def test_embed_batch_of_nothing_is_empty(mini_model):
@@ -165,18 +163,20 @@ def test_known_l1_mass_closed_form():
 
 def test_similarity_matches_independent_sum(mini_model):
     a, b = seq(2, 5, 3), seq(9, 8, 7, 6)
-    ea = embed(mini_model, a).values
-    eb = embed(mini_model, b).values
+    ea = embed_batch(mini_model, [a])[0]
+    eb = embed_batch(mini_model, [b])[0]
     expected = math.exp(-math.fsum(abs(float(x) - float(y)) for x, y in zip(ea, eb)))
     assert math.isclose(pair_similarity(mini_model, a, b), expected, rel_tol=1e-12)
 
 
 def test_pair_loss_values():
-    assert math.isclose(pair_loss(0.5, 1), math.log(2), rel_tol=1e-12)
-    assert pair_loss(1.0, 1) < 1e-6
-    assert math.isclose(pair_loss(0.9, 0), -math.log(0.1), rel_tol=1e-9)
-    assert pair_loss(0.0, 1) > 0  # clamped, not infinite
-    assert np.isfinite(pair_loss(1.0, 0))
+    loss = pair_loss(np.array([0.5, 1.0, 0.9, 0.0, 1.0]), np.array([1.0, 1.0, 0.0, 1.0, 0.0]))
+    assert loss.shape == (5,)
+    assert math.isclose(loss[0], math.log(2), rel_tol=1e-12)
+    assert loss[1] < 1e-6
+    assert math.isclose(loss[2], -math.log(0.1), rel_tol=1e-9)
+    assert loss[3] > 0  # clamped, not infinite
+    assert np.isfinite(loss[4])
 
 
 def test_similarity_properties_randomized():
@@ -376,7 +376,9 @@ def test_model_round_trip(tmp_path):
     assert loaded.hyper == model.hyper
     for key in model.params:
         assert np.array_equal(loaded.params[key], model.params[key])
-    assert model_content_hash(loaded) == model_content_hash(model)
+    again = tmp_path / "again.bin"
+    save_model(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_corrupt_model_rejected(tmp_path):
