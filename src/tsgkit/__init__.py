@@ -21,8 +21,6 @@ from .dsl import (
     Switch,
     eval_program,
     parse,
-    rank,
-    resolve_position,
     serialize,
 )
 from .extract import (

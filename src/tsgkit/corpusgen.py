@@ -7,8 +7,6 @@ so that held-out folds still see known link tokens.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 CLASSES = ("adf", "jarvis", "kusto", "powershell", "torus", "merlin", "natural_language")
@@ -220,9 +218,3 @@ def generate_corpus(seed: int = 7, per_class: int = 40) -> list[tuple[str, str]]
         rows.extend((text, label) for text in seen[:per_class])
     return rows
 
-
-def write_corpus(path: str, seed: int = 7, per_class: int = 40) -> None:
-    rows = generate_corpus(seed, per_class)
-    with open(path, "w", encoding="utf-8") as fh:
-        for text, label in rows:
-            fh.write(json.dumps({"text": text, "label": label}) + "\n")

@@ -139,10 +139,6 @@ class RegPos:
 PositionExpr = AbsPos | RegPos
 
 
-def resolve_position(p: PositionExpr, s: str) -> int:
-    return p.resolve(s)
-
-
 @dataclass(frozen=True)
 class ConstStr:
     s: str
@@ -261,16 +257,11 @@ def _atom_score(a: Atom) -> int:
 
 
 def program_key(p: ExtractionProgram) -> tuple:
+    """Ranking sort key; it ends in the serialization, so the order is total."""
     atoms = [a for b in p.branches for a in b.atoms]
     n_branches = len(p.branches)
     score = sum(_atom_score(a) for a in atoms)
     return (n_branches, score, len(atoms), serialize(p))
-
-
-def rank(a: ExtractionProgram, b: ExtractionProgram) -> int:
-    """Total deterministic order: -1 if a ranks before b, 0 iff identical."""
-    ka, kb = program_key(a), program_key(b)
-    return -1 if ka < kb else (1 if ka > kb else 0)
 
 
 # ---------------------------------------------------------------------------

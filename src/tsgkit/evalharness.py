@@ -36,6 +36,11 @@ def load_corpus(
             if not line.strip():
                 continue
             rec = json.loads(line)
+            if not (
+                isinstance(rec, dict)
+                and all(isinstance(rec.get(k), str) for k in ("text", "label"))
+            ):
+                raise ValueError(f"line {i}: expected an object with string text and label")
             text = rec["text"]
             examples.append(
                 (Statement(text, i, i, tuple(tokenize(text))), rec["label"])

@@ -19,17 +19,6 @@ from .siamese import (
 )
 from .vectorize import BowVector, IndexSequence, Vocabulary, build_vocabulary, encode
 
-COMPONENT_TYPES = (
-    "adf",
-    "jarvis",
-    "kusto",
-    "powershell",
-    "torus",
-    "merlin",
-    "natural_language",
-)
-
-
 class EmptyClass(ValueError):
     pass
 

@@ -97,14 +97,29 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
     if not lines:
         raise ValueError(f"{path}: empty spec file")
     header = json.loads(lines[0])
+    if not (
+        isinstance(header, dict)
+        and all(isinstance(header.get(k), str) for k in ("component", "constituent"))
+        and isinstance(header.get("repeats", False), bool)
+        and isinstance(header.get("preprocess", []), list)
+    ):
+        raise ValueError(
+            f"{path}: header needs string component and constituent, bool repeats, list preprocess"
+        )
     flags = tuple(header.get("preprocess", ()))
     for flag in flags:
         if flag not in VALID_PREPROCESS:
             raise ValueError(f"{path}: unknown preprocess flag {flag!r}")
     pairs: list[tuple[str, str]] = []
     negatives: list[str] = []
-    for ln in lines[1:]:
+    for n, ln in enumerate(lines[1:], start=1):
         rec = json.loads(ln)
+        if not (
+            isinstance(rec, dict)
+            and isinstance(rec.get("input"), str)
+            and isinstance(rec.get("output"), (str, type(None)))
+        ):
+            raise ValueError(f"{path}: example {n} needs a string input and string or null output")
         text = rec["input"]
         if "tag_clauses" in flags:
             from .clauses import Lexicon, tag_clauses
@@ -119,7 +134,7 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
         constituent_name=header["constituent"],
         pairs=pairs,
         negatives=negatives,
-        repeats=bool(header.get("repeats", False)),
+        repeats=header.get("repeats", False),
         preprocess=flags,
     )
     spec.validate()

@@ -74,6 +74,42 @@ def test_train_then_classify(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "kusto"
 
 
+def test_truncated_model_is_input_error(tmp_path, capsys):
+    cfg = config_file(tmp_path)
+    assert run("--config", cfg, "--seed", "1", "--quiet", "train", tiny_corpus(tmp_path)) == 0
+    (tmp_path / "art" / "model.bin").write_bytes(b"TSGSIAM1\x01\x00")
+    capsys.readouterr()
+    assert run("--config", cfg, "classify", "anything") == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("synthesize", '[1]\n{"input": "a", "output": "a"}\n'),
+        (
+            "synthesize",
+            '{"component": "x", "constituent": "y", "repeats": "no"}\n'
+            '{"input": "a", "output": "a"}\n',
+        ),
+        ("train", '{"text": 5, "label": "x"}\n'),
+        ("train", '["a", "b"]\n'),
+    ],
+    ids=[
+        "spec-header-not-object",
+        "spec-repeats-not-boolean",
+        "corpus-text-not-string",
+        "corpus-record-not-object",
+    ],
+)
+def test_malformed_record_is_input_error(tmp_path, capsys, command, body):
+    cfg = config_file(tmp_path)
+    path = tmp_path / "input.jsonl"
+    path.write_text(body)
+    assert run("--config", cfg, "--seed", "1", command, str(path)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_classify_without_artifacts_is_config_error(tmp_path):
     cfg = config_file(tmp_path)
     assert run("--config", cfg, "classify", "anything") == 3

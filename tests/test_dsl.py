@@ -19,8 +19,7 @@ from tsgkit.dsl import (
     Switch,
     eval_program,
     parse,
-    rank,
-    resolve_position,
+    program_key,
     serialize,
 )
 
@@ -31,30 +30,30 @@ WS = CLASS_BY_NAME["Whitespace"]
 
 
 def test_abs_positions():
-    assert resolve_position(AbsPos(0), "anything") == 0
-    assert resolve_position(AbsPos(3), "abcdef") == 3
-    assert resolve_position(AbsPos(-1), "abcdef") == 6
+    assert AbsPos(0).resolve("anything") == 0
+    assert AbsPos(3).resolve("abcdef") == 3
+    assert AbsPos(-1).resolve("abcdef") == 6
     with pytest.raises(OutOfRange):
-        resolve_position(AbsPos(9), "abc")
+        AbsPos(9).resolve("abc")
 
 
 @given(st.text(max_size=30))
 def test_abs_minus_one_is_length(s):
-    assert resolve_position(AbsPos(-1), s) == len(s)
+    assert AbsPos(-1).resolve(s) == len(s)
 
 
 def test_dollar_word_span():
     # First '$' up to the end of the first dollar-word: "$mb".
     s = "$mb = Get-Mailbox senderOrRecipientMailbox"
-    start = resolve_position(RegPos(None, DOLLAR_WORD, 1), s)
-    end = resolve_position(RegPos(DOLLAR_WORD, None, 1), s)
+    start = RegPos(None, DOLLAR_WORD, 1).resolve(s)
+    end = RegPos(DOLLAR_WORD, None, 1).resolve(s)
     assert (start, end) == (0, 3)
     assert s[start:end] == "$mb"
 
 
 def test_last_dot_boundary():
     s = "cluster('A').database('b').AutoTriageIcmNer | sort"
-    idx = resolve_position(RegPos(DOT, None, -1), s)
+    idx = RegPos(DOT, None, -1).resolve(s)
     assert s[idx:].startswith("AutoTriageIcmNer")
     assert s[idx - 1] == "."
 
@@ -62,9 +61,9 @@ def test_last_dot_boundary():
 def test_two_sided_boundary_requires_both():
     s = "a b.c"
     # Alpha ends and Dot starts only at the '.' after 'b'.
-    assert resolve_position(RegPos(ALPHA, DOT, 1), s) == 3
+    assert RegPos(ALPHA, DOT, 1).resolve(s) == 3
     with pytest.raises(NoMatch):
-        resolve_position(RegPos(ALPHA, DOT, 2), s)
+        RegPos(ALPHA, DOT, 2).resolve(s)
 
 
 def test_const_atom():
@@ -196,27 +195,27 @@ def test_parse_error_carries_position():
 def test_single_ranks_before_switch():
     single = FIXTURE_PROGRAMS[1]
     switch = FIXTURE_PROGRAMS[4]
-    assert rank(single, switch) == -1
-    assert rank(switch, single) == 1
+    assert program_key(single) < program_key(switch)
 
 
 def test_regpos_ranks_before_abspos():
     reg = Single(Branch((SubStr(RegPos(None, ALPHA, 1), RegPos(ALPHA, None, 1)),)))
     ab = Single(Branch((SubStr(AbsPos(0), AbsPos(3)),)))
-    assert rank(reg, ab) == -1
+    assert program_key(reg) < program_key(ab)
 
 
 def test_const_ranks_last():
     const = Single(Branch((ConstStr("abc"),)))
     ab = Single(Branch((SubStr(AbsPos(0), AbsPos(3)),)))
-    assert rank(ab, const) == -1
+    assert program_key(ab) < program_key(const)
 
 
 def test_equal_score_falls_back_to_serialization():
     a = Single(Branch((SubStr(RegPos(None, ALPHA, 1), RegPos(ALPHA, None, 1)),)))
     b = Single(Branch((SubStr(RegPos(None, ALPHA, 2), RegPos(ALPHA, None, 1)),)))
-    assert rank(a, b) == (-1 if serialize(a) < serialize(b) else 1)
-    assert rank(a, a) == 0
+    assert program_key(a)[:3] == program_key(b)[:3]
+    assert (program_key(a) < program_key(b)) == (serialize(a) < serialize(b))
+    assert program_key(a) != program_key(b)
 
 
 # --- invariants --------------------------------------------------------------

@@ -5,8 +5,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_golden
+from tsgkit.corpusgen import CLASSES
 from tsgkit.extract import ParsedComponent
-from tsgkit.identify import COMPONENT_TYPES, compute_prototypes
+from tsgkit.identify import compute_prototypes
 from tsgkit.ingest import RawDocument, Statement, clean_document, tokenize
 from tsgkit.pipeline import (
     Entry,
@@ -207,7 +208,7 @@ def untrained():
     model = init_model(vocab.size, Hyper(max_len=8, seed=5))
     support = {
         label: [encode(stmt, vocab, model.hyper.max_len)]
-        for label, stmt in zip(COMPONENT_TYPES, statements)
+        for label, stmt in zip(CLASSES, statements)
     }
     return model, vocab, compute_prototypes(model, support)
 

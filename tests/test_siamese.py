@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import golden_path
 from tsgkit.siamese import (
     DENSE_DIM,
+    MAGIC,
     Hyper,
     IndexOutOfVocab,
     NoNegativePairs,
@@ -358,6 +360,56 @@ def test_identical_seeds_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _per_tensor_train(pairs, hyper, vocab_size):
+    """Reference fit: one init draw and one Adam update per tensor, in file order."""
+    rng = np.random.default_rng(hyper.seed)
+    shapes = (
+        ("embedding", (vocab_size, 100)),
+        ("conv1_w", (64, 3, 100)),
+        ("conv1_b", (64,)),
+        ("conv2_w", (64, 3, 64)),
+        ("conv2_b", (64,)),
+        ("dense_w", (64, 128)),
+        ("dense_b", (128,)),
+    )
+    params = {name: rng.uniform(-0.05, 0.05, size=shape) for name, shape in shapes}
+    ref = SimpleNamespace(params=params, vocab_size=vocab_size)
+    rng = np.random.default_rng(hyper.seed + 1)
+    a_all = _as_batch([p.a for p in pairs])
+    b_all = _as_batch([p.b for p in pairs])
+    y_all = np.array([p.label for p in pairs], dtype=np.float64)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = {k: np.zeros_like(t) for k, t in params.items()}
+    v = {k: np.zeros_like(t) for k, t in params.items()}
+    step = 0
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(pairs))
+        for at in range(0, len(pairs), hyper.batch_size):
+            sel = order[at : at + hyper.batch_size]
+            grads, _ = _pair_grads_and_loss(ref, a_all[sel], b_all[sel], y_all[sel])
+            step += 1
+            for key, g in grads.items():
+                g = g / len(sel)
+                m[key] = beta1 * m[key] + (1 - beta1) * g
+                v[key] = beta2 * v[key] + (1 - beta2) * g * g
+                mhat = m[key] / (1 - beta1**step)
+                vhat = v[key] / (1 - beta2**step)
+                params[key] -= hyper.learning_rate * mhat / (np.sqrt(vhat) + eps)
+    return params
+
+
+def test_flat_adam_matches_per_tensor_reference_bit_for_bit():
+    # Batches of 3 over 4 pairs: a full and a partial batch per epoch.
+    hyper = Hyper(max_len=8, seed=5, epochs=3, batch_size=3, learning_rate=0.01)
+    model = train(_tiny_pairs(), hyper, 10)
+    want = _per_tensor_train(_tiny_pairs(), hyper, 10)
+    assert not np.array_equal(model.flat, init_model(10, hyper).flat)
+    assert list(model.params) == list(want)
+    for key, tensor in model.params.items():
+        assert np.array_equal(tensor, want[key]), key
+        assert np.shares_memory(tensor, model.flat), key
+
+
 def test_loss_trace_decreases_on_bundled_corpus(trained):
     model, _, _ = trained
     trace = model.loss_trace
@@ -374,8 +426,10 @@ def test_model_round_trip(tmp_path):
     loaded = load_model(str(path))
     assert loaded.vocab_size == model.vocab_size
     assert loaded.hyper == model.hyper
+    assert loaded.flat.flags.writeable
     for key in model.params:
         assert np.array_equal(loaded.params[key], model.params[key])
+        assert np.shares_memory(loaded.params[key], loaded.flat)
     again = tmp_path / "again.bin"
     save_model(loaded, str(again))
     assert again.read_bytes() == path.read_bytes()
@@ -388,5 +442,22 @@ def test_corrupt_model_rejected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[50] ^= 0xFF
     path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda blob: MAGIC + b"\x01\x00",  # header cut short
+        lambda blob: blob[:-40],  # one parameter short
+        lambda blob: blob[:-32] + bytes(8) + blob[-32:],  # one parameter too many
+    ],
+    ids=["header", "short", "long"],
+)
+def test_wrong_length_model_rejected(tmp_path, cut):
+    path = tmp_path / "m.bin"
+    save_model(init_model(10, MINI), str(path))
+    path.write_bytes(cut(path.read_bytes()))
     with pytest.raises(ValueError):
         load_model(str(path))

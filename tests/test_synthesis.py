@@ -8,7 +8,7 @@ import pytest
 from oracle_enum import consistent_single_atoms, oracle_best_single
 from tsgkit import synthesis
 from tsgkit.corpusgen import generate_corpus
-from tsgkit.dsl import EvalFailure, Single, Switch, eval_program, serialize
+from tsgkit.dsl import EvalFailure, Single, Switch, eval_program, program_key, serialize
 from tsgkit.synthesis import (
     DEFAULT_BOUNDS,
     Bounds,
@@ -198,9 +198,7 @@ def test_oracle_agreement_on_short_specs(bundled_specs):
 def test_rank_prefers_single_over_switch(bundled_specs):
     single = synthesize(bundled_specs["demo_user_field"])
     switch = synthesize(bundled_specs["kusto_table_pair"])
-    from tsgkit.dsl import rank
-
-    assert rank(single, switch) == -1
+    assert program_key(single) < program_key(switch)
 
 
 def test_branch_budget_enforced(bundled_specs):
