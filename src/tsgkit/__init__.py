@@ -16,9 +16,7 @@ from .dsl import (
     ParseError,
     Predicate,
     RegPos,
-    Single,
     SubStr,
-    Switch,
     eval_program,
     parse,
     serialize,

@@ -103,10 +103,7 @@ def _hyper(cfg: Config, seed: int) -> Hyper:
 def _read_corpus(path: str):
     if not os.path.exists(path):
         raise InputError(f"corpus file not found: {path}")
-    try:
-        return evalharness.load_corpus(path)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise InputError(f"bad corpus file {path}: {exc}") from exc
+    return evalharness.load_corpus(path)
 
 
 def cmd_train(args) -> int:
@@ -149,15 +146,15 @@ def cmd_classify(args) -> int:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_cfg(args)
+    try:
+        bounds = synthesis.Bounds(
+            cfg.max_occurrence, cfg.abs_window, cfg.max_atoms, cfg.max_branches
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not os.path.exists(args.spec):
         raise InputError(f"spec file not found: {args.spec}")
-    try:
-        spec = synthesis.load_spec(args.spec, _lexicon(cfg))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise InputError(f"bad spec file {args.spec}: {exc}") from exc
-    bounds = synthesis.Bounds(
-        cfg.max_occurrence, cfg.abs_window, cfg.max_atoms, cfg.max_branches
-    )
+    spec = synthesis.load_spec(args.spec, _lexicon(cfg))
     program = synthesis.synthesize(spec, bounds)
     print(serialize(program))
     registry = (

@@ -1,10 +1,11 @@
-"""Key/value configuration shared by the command-line entry points."""
+"""Key/value configuration and data-file readers shared by the entry points."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from importlib import resources
-from typing import Optional
+from typing import Any, Optional
 
 
 @dataclass
@@ -63,3 +64,20 @@ def load_config(path: str) -> Config:
 def data_path(name: str) -> str:
     """Path of a bundled data file."""
     return str(resources.files("tsgkit").joinpath("data", name))
+
+
+def read_jsonl(path: str) -> list[tuple[int, Any]]:
+    """(line number, record) for each non-blank line of a JSON-lines file.
+
+    A syntax error raises ValueError naming `path:line`.
+    """
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append((lineno, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.msg} at column {exc.colno}") from None
+    return records

@@ -1,7 +1,8 @@
 """String-extraction DSL: AST, evaluation semantics, canonical text form.
 
-Programs are either a single branch (a concatenation of constant strings
-and substrings of the input) or a switch of predicate-guarded branches.
+A program is a switch of predicate-guarded branches with an optional
+default; a branch concatenates constant strings and substrings of the
+input, and a program with no cases is its default branch alone.
 Substring boundaries are resolved through a fixed, ordered alphabet of
 token classes; program ranking and predicate enumeration depend on that
 order, so it must not be changed casually.
@@ -201,25 +202,18 @@ class Predicate:
 
 
 @dataclass(frozen=True)
-class Single:
-    branch: Branch
+class ExtractionProgram:
+    """Predicate-guarded branches tried in order, then an optional default.
 
-    def eval(self, s: str) -> str:
-        return self.branch.eval(s)
+    A program with no cases is its default branch alone.
+    """
 
-    @property
-    def branches(self) -> tuple[Branch, ...]:
-        return (self.branch,)
-
-
-@dataclass(frozen=True)
-class Switch:
-    cases: tuple[tuple[Predicate, Branch], ...]
+    cases: tuple[tuple[Predicate, Branch], ...] = ()
     default: Optional[Branch] = None
 
     def __post_init__(self):
-        if not self.cases:
-            raise ValueError("switch needs at least one case")
+        if not self.cases and self.default is None:
+            raise ValueError("program needs a case or a default branch")
 
     def eval(self, s: str) -> str:
         for pred, branch in self.cases:
@@ -235,9 +229,6 @@ class Switch:
         if self.default is not None:
             bs.append(self.default)
         return tuple(bs)
-
-
-ExtractionProgram = Single | Switch
 
 
 def eval_program(prog: ExtractionProgram, s: str) -> str:
@@ -295,8 +286,8 @@ def _serialize_predicate(p: Predicate) -> str:
 
 def serialize(prog: ExtractionProgram) -> str:
     """Canonical single-line form; equal programs serialize identically."""
-    if isinstance(prog, Single):
-        return _serialize_branch(prog.branch)
+    if not prog.cases:
+        return _serialize_branch(prog.default)
     parts = [
         f"case({_serialize_predicate(pred)},{_serialize_branch(b)})"
         for pred, b in prog.cases
@@ -450,9 +441,9 @@ class _Parser:
             self.expect(")")
             if not cases:
                 raise self.error("switch needs at least one case")
-            return Switch(tuple(cases), default)
+            return ExtractionProgram(tuple(cases), default)
         self.i = save
-        return Single(self.branch())
+        return ExtractionProgram(default=self.branch())
 
 
 def parse(text: str) -> ExtractionProgram:

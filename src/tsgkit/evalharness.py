@@ -8,6 +8,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import read_jsonl
 from .extract import ParsedComponent, ParserRegistry, extract
 from .ingest import Statement, tokenize
 from .synthesis import ExampleSpec
@@ -26,27 +27,17 @@ class LabeledCorpus:
     examples: list[tuple[Statement, str]]
 
 
-def load_corpus(
-    path: str, caps: dict[str, int] | None = None, seed: int = 0
-) -> LabeledCorpus:
-    """Line-delimited {"text", "label"} records; caps subsample per class."""
+def load_corpus(path: str) -> LabeledCorpus:
+    """Line-delimited {"text", "label"} records; errors name `path:line`."""
     examples: list[tuple[Statement, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if not (
-                isinstance(rec, dict)
-                and all(isinstance(rec.get(k), str) for k in ("text", "label"))
-            ):
-                raise ValueError(f"line {i}: expected an object with string text and label")
-            text = rec["text"]
-            examples.append(
-                (Statement(text, i, i, tuple(tokenize(text))), rec["label"])
-            )
-    if caps:
-        examples = cap_classes(examples, caps, seed)
+    for i, rec in read_jsonl(path):
+        if not (
+            isinstance(rec, dict)
+            and all(isinstance(rec.get(k), str) for k in ("text", "label"))
+        ):
+            raise ValueError(f"{path}:{i}: expected an object with string text and label")
+        text = rec["text"]
+        examples.append((Statement(text, i, i, tuple(tokenize(text))), rec["label"]))
     return LabeledCorpus(examples)
 
 

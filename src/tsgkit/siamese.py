@@ -76,7 +76,7 @@ def _n_params(vocab_size: int) -> int:
     return sum(math.prod(shape) for _, shape in _layout(vocab_size))
 
 
-@dataclass
+@dataclass(eq=False)
 class SiameseModel:
     """All parameters live in `flat`, in `_layout` order; `params` maps each
     tensor name to a reshaped view into it, so writes through either agree."""

@@ -19,10 +19,10 @@ largest-first `itertools.combinations` walk, so the programs are the same.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .config import read_jsonl
 from .dsl import (
     ALPHABET,
     AbsPos,
@@ -33,9 +33,7 @@ from .dsl import (
     ExtractionProgram,
     Predicate,
     RegPos,
-    Single,
     SubStr,
-    Switch,
     TokenClass,
     program_key,
 )
@@ -59,6 +57,13 @@ class Bounds:
     abs_window: int = 4
     max_atoms: int = 3
     max_branches: int = 6
+
+    def __post_init__(self):
+        for name in ("max_occurrence", "max_atoms", "max_branches"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.abs_window < 0:
+            raise ValueError("abs_window must be at least 0")
 
 
 DEFAULT_BOUNDS = Bounds()
@@ -90,13 +95,12 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
     """Read a line-delimited spec file: header record, then example records.
 
     Inputs of tag_clauses specs are tagged at load time, so synthesis sees
-    the same text extraction will see.
+    the same text extraction will see.  Errors name `path:line`.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
+    records = read_jsonl(path)
+    if not records:
         raise ValueError(f"{path}: empty spec file")
-    header = json.loads(lines[0])
+    lineno, header = records[0]
     if not (
         isinstance(header, dict)
         and all(isinstance(header.get(k), str) for k in ("component", "constituent"))
@@ -104,22 +108,26 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
         and isinstance(header.get("preprocess", []), list)
     ):
         raise ValueError(
-            f"{path}: header needs string component and constituent, bool repeats, list preprocess"
+            f"{path}:{lineno}: header needs string component and constituent, "
+            "bool repeats, list preprocess"
         )
     flags = tuple(header.get("preprocess", ()))
     for flag in flags:
         if flag not in VALID_PREPROCESS:
-            raise ValueError(f"{path}: unknown preprocess flag {flag!r}")
+            raise ValueError(f"{path}:{lineno}: unknown preprocess flag {flag!r}")
     pairs: list[tuple[str, str]] = []
     negatives: list[str] = []
-    for n, ln in enumerate(lines[1:], start=1):
-        rec = json.loads(ln)
+    for lineno, rec in records[1:]:
         if not (
             isinstance(rec, dict)
             and isinstance(rec.get("input"), str)
             and isinstance(rec.get("output"), (str, type(None)))
+            and rec.get("output") != ""
         ):
-            raise ValueError(f"{path}: example {n} needs a string input and string or null output")
+            raise ValueError(
+                f"{path}:{lineno}: example needs a string input "
+                "and a non-empty string or null output"
+            )
         text = rec["input"]
         if "tag_clauses" in flags:
             from .clauses import Lexicon, tag_clauses
@@ -129,7 +137,9 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
             negatives.append(text)
         else:
             pairs.append((text, rec["output"]))
-    spec = ExampleSpec(
+    if not pairs:
+        raise ValueError(f"{path}: spec needs at least one input/output pair")
+    return ExampleSpec(
         component=header["component"],
         constituent_name=header["constituent"],
         pairs=pairs,
@@ -137,8 +147,6 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
         repeats=header.get("repeats", False),
         preprocess=flags,
     )
-    spec.validate()
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +205,7 @@ def _produces(expr: Atom | Branch | ExtractionProgram, inp: str, out: str) -> bo
 
 
 def _branch_rank_key(b: Branch) -> tuple:
-    return program_key(Single(b))
-
-
-def _best_single_atom(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[Branch]:
-    first_in, first_out = pairs[0]
-    if first_out not in first_in:
-        return None
-    survivors = [
-        a
-        for a in generate_atoms(first_in, first_out, bounds)
-        if all(_produces(a, i, o) for i, o in pairs[1:])
-    ]
-    if not survivors:
-        return None
-    best = min((Branch((a,)) for a in survivors), key=_branch_rank_key)
-    return best
+    return program_key(ExtractionProgram(default=b))
 
 
 def _decompose(inp: str, out: str) -> list[tuple[str, str]]:
@@ -258,7 +251,13 @@ def _align_parts(out: str, parts: list[tuple[str, str]]) -> Optional[list[str]]:
     return slots
 
 
-def _multi_atom_branch(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[Branch]:
+def _branch_for_pairs(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[Branch]:
+    """Top-ranked branch reproducing every pair, or None.
+
+    The first pair's output is split into input spans and constants; each
+    span becomes the top-ranked atom that yields its aligned text in every
+    pair.  A one-part split is the whole output, which may be a constant.
+    """
     first_in, first_out = pairs[0]
     parts = _decompose(first_in, first_out)
     if len(parts) > bounds.max_atoms:
@@ -280,14 +279,15 @@ def _multi_atom_branch(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional
             continue
         slot_texts = [slots[slot_idx] for slots in per_pair_slots]
         slot_idx += 1
-        if any(not t for t in slot_texts) or slot_texts[0] not in pairs[0][0]:
+        if any(not t for t in slot_texts) or slot_texts[0] not in first_in:
             return None
         cands = [
             a
-            for a in generate_atoms(pairs[0][0], slot_texts[0], bounds)
+            for a in generate_atoms(first_in, slot_texts[0], bounds)
             if all(_produces(a, p[0], t) for p, t in zip(pairs[1:], slot_texts[1:]))
         ]
-        cands = [a for a in cands if not isinstance(a, ConstStr)]
+        if len(parts) > 1:
+            cands = [a for a in cands if not isinstance(a, ConstStr)]
         if not cands:
             return None
         atoms.append(min((Branch((a,)) for a in cands), key=_branch_rank_key).atoms[0])
@@ -295,13 +295,6 @@ def _multi_atom_branch(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional
     if all(_produces(branch, i, o) for i, o in pairs):
         return branch
     return None
-
-
-def _branch_for_pairs(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[Branch]:
-    single = _best_single_atom(pairs, bounds)
-    if single is not None:
-        return single
-    return _multi_atom_branch(pairs, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +331,7 @@ def synthesize(
 
     single = _branch_for_pairs(pairs, bounds)
     if single is not None:
-        prog: ExtractionProgram = Single(single)
+        prog = ExtractionProgram(default=single)
         if not any(_program_succeeds(prog, n) for n in negatives):
             _verify(prog, pairs, negatives)
             return prog
@@ -395,13 +388,11 @@ def synthesize(
         partitions.append((guards[subset], branch))
         remaining = [i for i in remaining if i not in subset]
 
-    if len(partitions) == 1 and partitions[0][0] is None:
-        prog = Single(partitions[0][1])
-    elif partitions[-1][0] is None:
-        cases = tuple((p, b) for p, b in partitions[:-1])
-        prog = Switch(cases, default=partitions[-1][1])
+    # Only the last partition can be unguarded: it takes every remaining pair.
+    if partitions[-1][0] is None:
+        prog = ExtractionProgram(tuple(partitions[:-1]), partitions[-1][1])
     else:
-        prog = Switch(tuple((p, b) for p, b in partitions), default=None)
+        prog = ExtractionProgram(tuple(partitions))
     _verify(prog, pairs, negatives)
     return prog
 

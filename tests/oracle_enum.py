@@ -16,8 +16,8 @@ from tsgkit.dsl import (
     Branch,
     ConstStr,
     EvalFailure,
+    ExtractionProgram,
     RegPos,
-    Single,
     SubStr,
     program_key,
 )
@@ -82,4 +82,4 @@ def oracle_best_single(pairs, bounds: Bounds = DEFAULT_BOUNDS):
     atoms = consistent_single_atoms(pairs, bounds)
     if not atoms:
         return None
-    return min((Single(Branch((a,))) for a in atoms), key=program_key)
+    return min((ExtractionProgram(default=Branch((a,))) for a in atoms), key=program_key)

@@ -83,31 +83,54 @@ def test_truncated_model_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+SPEC_HEADER = '{"component": "x", "constituent": "y"}\n'
+
+
 @pytest.mark.parametrize(
-    "command, body",
+    "command, body, line",
     [
-        ("synthesize", '[1]\n{"input": "a", "output": "a"}\n'),
+        ("synthesize", '[1]\n{"input": "a", "output": "a"}\n', 1),
         (
             "synthesize",
             '{"component": "x", "constituent": "y", "repeats": "no"}\n'
             '{"input": "a", "output": "a"}\n',
+            1,
         ),
-        ("train", '{"text": 5, "label": "x"}\n'),
-        ("train", '["a", "b"]\n'),
+        ("synthesize", SPEC_HEADER + '{"input": "a", "output": }\n', 2),
+        ("synthesize", SPEC_HEADER + '\n{"input": "a", "output": "a"}\n["a"]\n', 4),
+        ("train", '{"text": 5, "label": "x"}\n', 1),
+        ("train", '["a", "b"]\n', 1),
+        ("train", '{"text": "a", "label": "x"}\n\n{"text": "b" "label": "x"}\n', 3),
     ],
     ids=[
         "spec-header-not-object",
         "spec-repeats-not-boolean",
+        "spec-json-syntax",
+        "spec-example-not-object-after-blank",
         "corpus-text-not-string",
         "corpus-record-not-object",
+        "corpus-json-syntax-after-blank",
     ],
 )
-def test_malformed_record_is_input_error(tmp_path, capsys, command, body):
+def test_malformed_record_is_input_error(tmp_path, capsys, command, body, line):
     cfg = config_file(tmp_path)
     path = tmp_path / "input.jsonl"
     path.write_text(body)
     assert run("--config", cfg, "--seed", "1", command, str(path)) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ")
+    assert err.count(str(path)) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("max_occurrence", 0), ("abs_window", -1), ("max_atoms", 0), ("max_branches", 0)],
+)
+def test_out_of_range_bound_is_config_error(tmp_path, capsys, key, value):
+    cfg = config_file(tmp_path, **{key: value})
+    spec = os.path.join(data_path("specs"), "powershell_param_name.jsonl")
+    assert run("--config", cfg, "synthesize", spec) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be at least")
 
 
 def test_classify_without_artifacts_is_config_error(tmp_path):

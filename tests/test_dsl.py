@@ -9,14 +9,13 @@ from tsgkit.dsl import (
     Branch,
     ConstStr,
     EvalFailure,
+    ExtractionProgram,
     NoMatch,
     OutOfRange,
     ParseError,
     Predicate,
     RegPos,
-    Single,
     SubStr,
-    Switch,
     eval_program,
     parse,
     program_key,
@@ -67,20 +66,22 @@ def test_two_sided_boundary_requires_both():
 
 
 def test_const_atom():
-    assert eval_program(Single(Branch((ConstStr("x"),))), "whatever") == "x"
+    assert eval_program(ExtractionProgram(default=Branch((ConstStr("x"),))), "whatever") == "x"
     with pytest.raises(ValueError):
         ConstStr("")
 
 
 def test_substring_start_after_end_fails():
-    prog = Single(Branch((SubStr(AbsPos(-1), AbsPos(0)),)))
+    prog = ExtractionProgram(default=Branch((SubStr(AbsPos(-1), AbsPos(0)),)))
     with pytest.raises(EvalFailure):
         eval_program(prog, "abc")
 
 
 def test_kusto_table_prefix_program():
-    prog = Single(
-        Branch((SubStr(RegPos(CLASS_BY_NAME["StartAnchor"], ALPHA, 1), RegPos(None, WS, 1)),))
+    prog = ExtractionProgram(
+        default=Branch(
+            (SubStr(RegPos(CLASS_BY_NAME["StartAnchor"], ALPHA, 1), RegPos(None, WS, 1)),)
+        )
     )
     assert eval_program(prog, "TbaFilteringException | where time > ago(1d)") == (
         "TbaFilteringException"
@@ -90,12 +91,14 @@ def test_kusto_table_prefix_program():
 def test_adf_subscription_program():
     slash = CLASS_BY_NAME["Slash"]
     alnum = CLASS_BY_NAME["Alphanumeric"]
-    prog = Single(Branch((SubStr(RegPos(slash, alnum, -3), RegPos(alnum, slash, -2)),)))
+    prog = ExtractionProgram(
+        default=Branch((SubStr(RegPos(slash, alnum, -3), RegPos(alnum, slash, -2)),))
+    )
     assert eval_program(prog, "https://adf.azure.com/subsc/SUB1/resourceGroups/rgA") == "SUB1"
 
 
 def test_switch_without_default_fails_when_nothing_matches():
-    prog = Switch(
+    prog = ExtractionProgram(
         ((Predicate("contains", DOT, 1), Branch((ConstStr("dot"),))),), default=None
     )
     assert eval_program(prog, "a.b") == "dot"
@@ -103,8 +106,13 @@ def test_switch_without_default_fails_when_nothing_matches():
         eval_program(prog, "no dots here")
 
 
+def test_program_needs_a_case_or_default():
+    with pytest.raises(ValueError):
+        ExtractionProgram()
+
+
 def test_switch_first_matching_case_wins():
-    prog = Switch(
+    prog = ExtractionProgram(
         (
             (Predicate("startswith", ALPHA), Branch((ConstStr("first"),))),
             (Predicate("contains", ALPHA, 1), Branch((ConstStr("second"),))),
@@ -128,11 +136,13 @@ def test_predicates():
 
 
 FIXTURE_PROGRAMS = [
-    Single(Branch((ConstStr('say "hi"'),))),
-    Single(Branch((SubStr(AbsPos(0), AbsPos(-1)),))),
-    Single(Branch((SubStr(RegPos(None, DOLLAR_WORD, 1), RegPos(DOLLAR_WORD, None, 1)),))),
-    Single(
-        Branch(
+    ExtractionProgram(default=Branch((ConstStr('say "hi"'),))),
+    ExtractionProgram(default=Branch((SubStr(AbsPos(0), AbsPos(-1)),))),
+    ExtractionProgram(
+        default=Branch((SubStr(RegPos(None, DOLLAR_WORD, 1), RegPos(DOLLAR_WORD, None, 1)),))
+    ),
+    ExtractionProgram(
+        default=Branch(
             (
                 ConstStr("-"),
                 SubStr(RegPos(WS, None, 2), RegPos(None, WS, -1)),
@@ -140,14 +150,14 @@ FIXTURE_PROGRAMS = [
             )
         )
     ),
-    Switch(
+    ExtractionProgram(
         (
             (Predicate("contains", CLASS_BY_NAME["Pipe"], 2), Branch((ConstStr("a"),))),
             (Predicate("endswith", ALPHA), Branch((SubStr(AbsPos(0), AbsPos(2)),))),
         ),
         default=Branch((ConstStr("z"),)),
     ),
-    Switch(
+    ExtractionProgram(
         ((Predicate("startswith", ALPHA), Branch((SubStr(AbsPos(0), AbsPos(1)),))),),
         default=None,
     ),
@@ -199,20 +209,26 @@ def test_single_ranks_before_switch():
 
 
 def test_regpos_ranks_before_abspos():
-    reg = Single(Branch((SubStr(RegPos(None, ALPHA, 1), RegPos(ALPHA, None, 1)),)))
-    ab = Single(Branch((SubStr(AbsPos(0), AbsPos(3)),)))
+    reg = ExtractionProgram(
+        default=Branch((SubStr(RegPos(None, ALPHA, 1), RegPos(ALPHA, None, 1)),))
+    )
+    ab = ExtractionProgram(default=Branch((SubStr(AbsPos(0), AbsPos(3)),)))
     assert program_key(reg) < program_key(ab)
 
 
 def test_const_ranks_last():
-    const = Single(Branch((ConstStr("abc"),)))
-    ab = Single(Branch((SubStr(AbsPos(0), AbsPos(3)),)))
+    const = ExtractionProgram(default=Branch((ConstStr("abc"),)))
+    ab = ExtractionProgram(default=Branch((SubStr(AbsPos(0), AbsPos(3)),)))
     assert program_key(ab) < program_key(const)
 
 
 def test_equal_score_falls_back_to_serialization():
-    a = Single(Branch((SubStr(RegPos(None, ALPHA, 1), RegPos(ALPHA, None, 1)),)))
-    b = Single(Branch((SubStr(RegPos(None, ALPHA, 2), RegPos(ALPHA, None, 1)),)))
+    a = ExtractionProgram(
+        default=Branch((SubStr(RegPos(None, ALPHA, 1), RegPos(ALPHA, None, 1)),))
+    )
+    b = ExtractionProgram(
+        default=Branch((SubStr(RegPos(None, ALPHA, 2), RegPos(ALPHA, None, 1)),))
+    )
     assert program_key(a)[:3] == program_key(b)[:3]
     assert (program_key(a) < program_key(b)) == (serialize(a) < serialize(b))
     assert program_key(a) != program_key(b)
@@ -241,7 +257,9 @@ def test_successful_substring_is_contiguous(atom, s):
 
 @given(st.text(max_size=40))
 def test_eval_total_result_or_evalfailure(s):
-    prog = Single(Branch((SubStr(RegPos(ALPHA, None, 1), RegPos(None, DOT, -1)),)))
+    prog = ExtractionProgram(
+        default=Branch((SubStr(RegPos(ALPHA, None, 1), RegPos(None, DOT, -1)),))
+    )
     try:
         first = eval_program(prog, s)
         second = eval_program(prog, s)

@@ -1,6 +1,6 @@
 import pytest
 
-from tsgkit.dsl import Branch, ConstStr, Single, parse, serialize
+from tsgkit.dsl import Branch, ConstStr, ExtractionProgram, parse, serialize
 from tsgkit.extract import (
     ParserRegistry,
     RegistryEntry,
@@ -63,7 +63,10 @@ def test_constant_parser_hits_iteration_limit():
     # A constant program always "extracts" but never shrinks the text.
     warnings = []
     tuples = extract_repeating(
-        "yyy", [Single(Branch((ConstStr("x"),)))], max_iterations=100, warnings=warnings
+        "yyy",
+        [ExtractionProgram(default=Branch((ConstStr("x"),)))],
+        max_iterations=100,
+        warnings=warnings,
     )
     assert len(tuples) == 100
     assert warnings and warnings[0].kind == "IterationLimitExceeded"

@@ -418,6 +418,11 @@ def test_loss_trace_decreases_on_bundled_corpus(trained):
     assert trace[-1] < trace[0]
 
 
+def test_model_equality_is_identity():
+    model = init_model(5, MINI)
+    assert model == model and model != init_model(5, MINI)
+
+
 def test_model_round_trip(tmp_path):
     hyper = Hyper(max_len=8, seed=5, epochs=1)
     model = train(_tiny_pairs(), hyper, 10)

@@ -1,6 +1,7 @@
+import collections
 import re
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ import pytest
 from oracle_enum import consistent_single_atoms, oracle_best_single
 from tsgkit import synthesis
 from tsgkit.corpusgen import generate_corpus
-from tsgkit.dsl import EvalFailure, Single, Switch, eval_program, program_key, serialize
+from tsgkit.dsl import (
+    Branch,
+    ConstStr,
+    EvalFailure,
+    ExtractionProgram,
+    eval_program,
+    program_key,
+    serialize,
+)
 from tsgkit.synthesis import (
     DEFAULT_BOUNDS,
     Bounds,
@@ -71,14 +80,14 @@ def test_assignment_variable_branch():
         ]
     )
     prog = synthesize(spec)
-    assert isinstance(prog, Single)
+    assert not prog.cases
     for inp, out in spec.pairs:
         assert prog.eval(inp) == out
 
 
 def test_identity_branch_for_single_pair():
     prog = synthesize(spec_of([("abc def", "abc def")]))
-    assert isinstance(prog, Single)
+    assert not prog.cases
     assert prog.eval("abc def") == "abc def"
 
 
@@ -103,7 +112,7 @@ def test_multi_atom_concatenation():
 def test_two_format_spec_yields_two_branch_switch(bundled_specs):
     spec = bundled_specs["kusto_table_pair"]
     prog = synthesize(spec)
-    assert isinstance(prog, Switch)
+    assert prog.cases
     assert len(prog.branches) == 2
     for inp, out in spec.pairs:
         assert eval_program(prog, inp) == out
@@ -112,7 +121,7 @@ def test_two_format_spec_yields_two_branch_switch(bundled_specs):
 def test_three_format_spec_covers_all(bundled_specs):
     spec = bundled_specs["kusto_table"]
     prog = synthesize(spec)
-    assert isinstance(prog, Switch)
+    assert prog.cases
     for inp, out in spec.pairs:
         assert eval_program(prog, inp) == out
 
@@ -208,6 +217,104 @@ def test_branch_budget_enforced(bundled_specs):
         synthesize(spec, Bounds(max_branches=1))
 
 
+@pytest.mark.parametrize(
+    "bad", [{"max_occurrence": 0}, {"abs_window": -1}, {"max_atoms": 0}, {"max_branches": 0}]
+)
+def test_out_of_range_bounds_rejected(bad):
+    with pytest.raises(ValueError):
+        Bounds(**bad)
+    Bounds(max_occurrence=1, abs_window=0, max_atoms=1, max_branches=1)
+
+
+# --- branch search: equivalence with the two-step search ----------------------
+
+
+def reference_single_atom(pairs, bounds):
+    """The top-ranked single atom reproducing every pair, constants included."""
+    first_in, first_out = pairs[0]
+    if first_out not in first_in:
+        return None
+    survivors = [
+        a
+        for a in generate_atoms(first_in, first_out, bounds)
+        if all(synthesis._produces(a, i, o) for i, o in pairs[1:])
+    ]
+    if not survivors:
+        return None
+    return min((Branch((a,)) for a in survivors), key=synthesis._branch_rank_key)
+
+
+def reference_multi_atom(pairs, bounds):
+    """Spans and constants of the first output, with no constant per span."""
+    first_in, first_out = pairs[0]
+    parts = synthesis._decompose(first_in, first_out)
+    if len(parts) > bounds.max_atoms or all(kind == "const" for kind, _ in parts):
+        return None
+    sub_slots = [text for kind, text in parts if kind == "sub"]
+    per_pair_slots = [sub_slots]
+    for _, out in pairs[1:]:
+        slots = synthesis._align_parts(out, parts)
+        if slots is None or len(slots) != len(sub_slots):
+            return None
+        per_pair_slots.append(slots)
+    atoms = []
+    slot_idx = 0
+    for kind, text in parts:
+        if kind == "const":
+            atoms.append(ConstStr(text))
+            continue
+        slot_texts = [slots[slot_idx] for slots in per_pair_slots]
+        slot_idx += 1
+        if any(not t for t in slot_texts) or slot_texts[0] not in first_in:
+            return None
+        cands = [
+            a
+            for a in generate_atoms(first_in, slot_texts[0], bounds)
+            if not isinstance(a, ConstStr)
+            and all(synthesis._produces(a, p[0], t) for p, t in zip(pairs[1:], slot_texts[1:]))
+        ]
+        if not cands:
+            return None
+        atoms.append(min((Branch((a,)) for a in cands), key=synthesis._branch_rank_key).atoms[0])
+    branch = Branch(tuple(atoms))
+    if all(synthesis._produces(branch, i, o) for i, o in pairs):
+        return branch
+    return None
+
+
+def reference_branch(pairs, bounds=DEFAULT_BOUNDS):
+    single = reference_single_atom(pairs, bounds)
+    return single if single is not None else reference_multi_atom(pairs, bounds)
+
+
+def branch_text(branch):
+    return None if branch is None else serialize(ExtractionProgram(default=branch))
+
+
+def test_branch_search_matches_two_step_reference(bundled_specs):
+    # The bundled and Kusto outputs are all input substrings; this spec
+    # adds outputs that need a constant between two spans.
+    specs = list(bundled_specs.values())
+    specs.append(spec_of([("alice 7", "alice#7"), ("bob 22", "bob#22"), ("x y", "y#x")]))
+    for seed in (3, 11):
+        rows = kusto_rows(seed)
+        specs += [three_format_spec(rows, n) for n in range(3, 10)]
+    shapes = collections.Counter()
+    for spec in specs:
+        for size in (1, 2, 3):
+            for subset in islice(combinations(spec.pairs, size), 300):
+                got = branch_text(synthesis._branch_for_pairs(list(subset), DEFAULT_BOUNDS))
+                assert got == branch_text(reference_branch(list(subset))), subset
+                if got is None:
+                    shapes["none"] += 1
+                elif "+" in got:
+                    shapes["multi"] += 1
+                else:
+                    shapes["const" if got.startswith("const(") else "sub"] += 1
+    # Every outcome occurs, a whole-output constant among them.
+    assert min(shapes[k] for k in ("none", "multi", "const", "sub")) >= 1, shapes
+
+
 # --- switch search: equivalence with the exhaustive subset walk ---------------
 
 
@@ -228,9 +335,9 @@ def exhaustive_synthesize(spec, bounds=DEFAULT_BOUNDS):
     )
     single = branch_for(tuple(range(len(pairs))))
     if single is not None and not any(
-        synthesis._program_succeeds(Single(single), n) for n in negatives
+        synthesis._program_succeeds(ExtractionProgram(default=single), n) for n in negatives
     ):
-        return Single(single)
+        return ExtractionProgram(default=single)
     remaining = list(range(len(pairs)))
     cases = []
     while remaining:
@@ -263,9 +370,9 @@ def exhaustive_synthesize(spec, bounds=DEFAULT_BOUNDS):
         remaining = [i for i in remaining if i not in subset]
     if cases[-1][0] is None:
         if len(cases) == 1:
-            return Single(cases[0][1])
-        return Switch(tuple(cases[:-1]), default=cases[-1][1])
-    return Switch(tuple(cases), default=None)
+            return ExtractionProgram(default=cases[0][1])
+        return ExtractionProgram(tuple(cases[:-1]), default=cases[-1][1])
+    return ExtractionProgram(tuple(cases), default=None)
 
 
 def outcome(synth, spec):
@@ -363,7 +470,7 @@ def branch_calls(monkeypatch):
 def test_fifteen_example_switch_visits_only_predicate_subsets(branch_calls):
     spec = three_format_spec(kusto_rows(5), 15)
     prog = synthesize(spec)
-    assert isinstance(prog, Switch)
+    assert prog.cases
     for inp, out in spec.pairs:
         assert prog.eval(inp) == out
     assert len(branch_calls) <= 1 + PER_ROUND * len(prog.branches)
