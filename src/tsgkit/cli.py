@@ -91,13 +91,16 @@ def _lexicon(cfg: Config) -> Lexicon:
 
 
 def _hyper(cfg: Config, seed: int) -> Hyper:
-    return Hyper(
-        max_len=cfg.max_len,
-        seed=seed,
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-    )
+    try:
+        return Hyper(
+            max_len=cfg.max_len,
+            seed=seed,
+            learning_rate=cfg.learning_rate,
+            epochs=cfg.epochs,
+            batch_size=cfg.batch_size,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _read_corpus(path: str):

@@ -133,6 +133,26 @@ def test_out_of_range_bound_is_config_error(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith(f"config error: {key} must be at least")
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("batch_size", "0", "batch_size must be at least 1"),
+        ("batch_size", "-4", "batch_size must be at least 1"),
+        ("epochs", "0", "epochs must be at least 1"),
+        ("learning_rate", "nan", "learning_rate must be a finite number at least 0"),
+        ("learning_rate", "-0.1", "learning_rate must be a finite number at least 0"),
+        ("max_len", "3", "max_len must be at least 4"),
+    ],
+    ids=["batch-zero", "batch-negative", "epochs-zero", "lr-nan", "lr-negative", "max-len-3"],
+)
+def test_out_of_range_hyper_is_config_error(tmp_path, capsys, key, value, message):
+    cfg = config_file(tmp_path)
+    flag = "--" + key.replace("_", "-")
+    assert run("--config", cfg, "--seed", "1", flag, value, "train", tiny_corpus(tmp_path)) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "art").exists()
+
+
 def test_classify_without_artifacts_is_config_error(tmp_path):
     cfg = config_file(tmp_path)
     assert run("--config", cfg, "classify", "anything") == 3

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,11 +17,13 @@ from tsgkit.siamese import (
     SingleClassCorpus,
     SiameseModel,
     TrainingPair,
+    _adam_step,
     _as_batch,
     _forward_batch,
     _pair_grads_and_loss,
     _pool2,
     _pool2_backward,
+    _Workspace,
     embed_batch,
     init_model,
     load_model,
@@ -124,9 +127,10 @@ def test_forward_matches_direct_conv_reference(max_len):
             n = int(rng.integers(0, max_len + 1))
             xs.append(seq(*(int(v) for v in rng.integers(0, vocab, n)), max_len=max_len))
         xb = _as_batch(xs)
-        out, cache = _forward_batch(model, xb, keep=True)
+        ws = _Workspace(*xb.shape, vocab)
+        out = _forward_batch(model, xb, ws)
         want_z1, want = _reference_forward(model, xb)
-        assert np.max(np.abs(cache["z1"] - want_z1)) <= 1e-12
+        assert np.max(np.abs(ws.z1 - want_z1)) <= 1e-12
         assert np.max(np.abs(out - want)) <= 1e-12
         batched = embed_batch(model, xs)
         for i, x in enumerate(xs):
@@ -140,9 +144,10 @@ def test_embed_batch_of_nothing_is_empty(mini_model):
 
 def test_pool_tie_routes_gradient_to_first_element():
     x = np.array([[[2.0], [2.0], [1.0], [3.0], [5.0]]])  # windows (2, 2), (1, 3); 5 dropped
-    pooled, mask = _pool2(x)
+    pooled, mask = np.empty((1, 2, 1)), np.empty((1, 2, 1), dtype=bool)
+    _pool2(x, pooled, mask)
     assert pooled.ravel().tolist() == [2.0, 3.0]
-    grad = _pool2_backward(np.array([[[7.0], [9.0]]]), mask, x.shape)
+    grad = _pool2_backward(np.array([[[7.0], [9.0]]]), mask, np.zeros(x.shape))
     assert grad.ravel().tolist() == [7.0, 0.0, 0.0, 9.0, 0.0]
 
 
@@ -273,6 +278,66 @@ def test_gradient_check_with_padding_and_repeated_tokens():
     used = np.isin(np.arange(10), np.concatenate([ab, bb]))
     assert np.all(np.abs(analytic["embedding"][used]).sum(axis=1) > 0)
     assert not analytic["embedding"][~used].any()
+
+
+@pytest.mark.parametrize("max_len", [4, 5, 8, 11])
+def test_workspace_reuse_leaves_no_stale_state(max_len):
+    # Odd lengths leave a tail that pooling drops; batches of 3, 1, 3 and 2
+    # pairs run through one workspace sized for 3 and through fresh ones.
+    rng = np.random.default_rng(max_len)
+    model = init_model(12, Hyper(max_len=max_len, seed=max_len))
+    shared = _Workspace(6, max_len, 12, backward=True)
+
+    def rows(n):
+        lengths = rng.integers(1, max_len + 1, n)
+        return _as_batch([seq(*rng.integers(0, 12, k), max_len=max_len) for k in lengths])
+
+    for bsz in (3, 1, 3, 2):
+        ab, bb, yb = rows(bsz), rows(bsz), rng.integers(0, 2, bsz).astype(np.float64)
+        got, got_losses = _pair_grads_and_loss(model, ab, bb, yb, shared)
+        got = {key: g.copy() for key, g in got.items()}
+        want, want_losses = _pair_grads_and_loss(model, ab, bb, yb)
+        assert np.array_equal(got_losses, want_losses)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), (bsz, key)
+    # Width-3 kernels: one zero edge on each side of conv2's input and of
+    # conv1's output gradient.
+    assert not shared.xp2[:, [0, -1]].any()
+    assert not shared.dz1p[:, [0, -1]].any()
+    if max_len % 2:
+        assert not shared.dz1[:, -1].any()
+    if max_len // 2 % 2:
+        assert not shared.da2[:, -1].any()
+
+
+def test_training_step_allocation_stays_small():
+    # A step writes into its workspace; what it still allocates is small
+    # index arrays and [2B, DENSE_DIM] rows, not activations or gradients.
+    vocab, max_len, bsz = 244, 32, 32
+    rng = np.random.default_rng(5)
+    model = init_model(vocab, Hyper(max_len=max_len, seed=5))
+    ws = _Workspace(2 * bsz, max_len, vocab, backward=True)
+    m, v = np.zeros_like(model.flat), np.zeros_like(model.flat)
+    batches = [
+        (
+            rng.integers(0, vocab, (bsz, max_len)),
+            rng.integers(0, vocab, (bsz, max_len)),
+            (np.arange(bsz) % 2).astype(np.float64),
+        )
+        for _ in range(4)
+    ]
+    for step, (ab, bb, yb) in enumerate(batches[:3], start=1):
+        _pair_grads_and_loss(model, ab, bb, yb, ws)
+        _adam_step(model, m, v, ws, bsz, step)
+    ab, bb, yb = batches[3]
+    tracemalloc.start()
+    try:
+        _pair_grads_and_loss(model, ab, bb, yb, ws)
+        _adam_step(model, m, v, ws, bsz, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 # --- pair sampling -----------------------------------------------------------
