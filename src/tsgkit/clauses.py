@@ -92,6 +92,13 @@ def _phrase_at(words, i: int, phrase: str) -> int:
     return len(parts)
 
 
+def _cl1_only(sentence: str, a: int, b: int) -> TaggedSentence:
+    """`sentence` with the span [a, b) wrapped as the only clause."""
+    return TaggedSentence(
+        sentence[:a] + "<CL1>" + sentence[a:b] + "</CL1>" + sentence[b:], sentence
+    )
+
+
 def tag_clauses(sentence: str, lexicon: Lexicon = Lexicon()) -> TaggedSentence:
     """Always returns a tagging; strip_tags() recovers the input exactly."""
     if not sentence:
@@ -106,28 +113,20 @@ def tag_clauses(sentence: str, lexicon: Lexicon = Lexicon()) -> TaggedSentence:
         if sub_len:
             break
 
-    if not sub_len:
-        a, b = words[0][1], words[-1][2]
-        return TaggedSentence(
-            sentence[:a] + "<CL1>" + sentence[a:b] + "</CL1>" + sentence[b:], sentence
-        )
-
     rest = words[sub_len:]
-    if not rest:
-        a, b = words[0][1], words[-1][2]
-        return TaggedSentence(
-            sentence[:a] + "<CL1>" + sentence[a:b] + "</CL1>" + sentence[b:], sentence
-        )
+    if not sub_len or not rest:
+        return _cl1_only(sentence, words[0][1], words[-1][2])
 
     comma_pos = sentence.find(",", rest[0][1])
 
+    signals = sorted(lexicon.second_clause_signals, key=lambda p: -len(p.split()))
     # A signal at the very start of the remainder would leave the condition
     # empty, so the scan starts at the second remainder token.
     signal_pos = -1
     i = 1
     while i < len(rest):
         matched = 0
-        for phrase in sorted(lexicon.second_clause_signals, key=lambda p: -len(p.split())):
+        for phrase in signals:
             matched = _phrase_at(rest, i, phrase)
             if matched:
                 break
@@ -138,10 +137,7 @@ def tag_clauses(sentence: str, lexicon: Lexicon = Lexicon()) -> TaggedSentence:
 
     boundaries = [p for p in (comma_pos, signal_pos) if p >= 0]
     if not boundaries:
-        a, b = rest[0][1], rest[-1][2]
-        return TaggedSentence(
-            sentence[:a] + "<CL1>" + sentence[a:b] + "</CL1>" + sentence[b:], sentence
-        )
+        return _cl1_only(sentence, rest[0][1], rest[-1][2])
 
     boundary = min(boundaries)
     cl1_start = rest[0][1]

@@ -225,6 +225,8 @@ def cmd_automate(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     seed = _require_seed(cfg)
+    if cfg.knn_k < 1:
+        raise ConfigError("knn_k must be at least 1")
     corpus = _read_corpus(args.corpus)
     try:
         results = run_comparison(corpus, args.k, seed, cfg)

@@ -255,6 +255,11 @@ def program_key(p: ExtractionProgram) -> tuple:
     return (n_branches, score, len(atoms), serialize(p))
 
 
+def atom_key(a: Atom) -> tuple:
+    """Ranking sort key: orders atoms as `program_key` orders their one-atom programs."""
+    return (_atom_score(a), _serialize_atom(a))
+
+
 # ---------------------------------------------------------------------------
 # Canonical serialization
 

@@ -112,8 +112,12 @@ def extract_repeating(
     first_parsers: list[ExtractionProgram],
     max_iterations: int = 100,
     warnings: list[Warning_] | None = None,
+    line: int = 0,
 ) -> list[tuple[str, ...]]:
-    """Repeatedly extract first constituents and delete them from the text."""
+    """Repeatedly extract first constituents and delete them from the text.
+
+    Hitting `max_iterations` warns at `line`, where the text's statement starts.
+    """
     if not first_parsers:
         raise ValueError("need at least one parser")
     working = component_text
@@ -136,7 +140,7 @@ def extract_repeating(
                         "IterationLimitExceeded",
                         f"stopped after {max_iterations} iterations on "
                         f"{component_text[:40]!r}",
-                        0,
+                        line,
                     )
                 )
             break
@@ -201,7 +205,8 @@ def extract(
         for segment in _apply_preprocess(stmt.raw, flags, lexicon):
             tuples.extend(
                 extract_repeating(
-                    segment, [e.program for e in repeating], warnings=warnings
+                    segment, [e.program for e in repeating], warnings=warnings,
+                    line=stmt.line_start,
                 )
             )
         for pos, entry in enumerate(repeating):

@@ -88,11 +88,8 @@ def classify(
     per_class: dict[str, float] = {}
     for p in sorted(protos, key=lambda p: p.label):
         per_class[p.label] = similarity_from_embeddings(ex, p.vector)
-    # Strict > keeps the lexicographically smallest class on ties.
-    best = None
-    for c in sorted(per_class):
-        if best is None or per_class[c] > per_class[best]:
-            best = c
+    # max keeps the first maximum: ties go to the lexicographically smallest class.
+    best = max(sorted(per_class), key=per_class.get)
     return Classification(best, per_class[best], per_class)
 
 
@@ -142,8 +139,4 @@ def knn_bow_classify(
     votes: dict[str, int] = {}
     for _, _, label in ranked[:k]:
         votes[label] = votes.get(label, 0) + 1
-    best = None
-    for label in sorted(votes):
-        if best is None or votes[label] > votes[best]:
-            best = label
-    return best
+    return max(sorted(votes), key=votes.get)

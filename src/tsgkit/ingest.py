@@ -1,8 +1,9 @@
 """Markdown TSG ingestion: cleaning, statement segmentation, tokenization.
 
 Cleaning blanks pruned content in place so line numbers keep referring to
-the original document.  Segmentation merges Kusto pipe continuations and
-brace-delimited script blocks into single statements.
+the original document.  Segmentation merges Kusto pipe continuations (lines
+starting with `|`) and brace-delimited script blocks into single statements,
+in one pass whose cost is linear in the document.
 """
 
 from __future__ import annotations
@@ -73,48 +74,39 @@ def clean_document(doc: RawDocument) -> RawDocument:
 
 
 def segment(doc: RawDocument, warnings: list[Warning_] | None = None) -> list[Statement]:
-    """One Statement per logical line; pipe and brace continuations merged."""
-    statements: list[Statement] = []
-    pending: dict | None = None  # open brace block under construction
-    depth = 0
+    """One Statement per logical line, with continuations merged.
 
-    def flush(raw: str, start: int, end: int):
+    A line joins the open statement while a brace block is open or when it
+    starts with `|`; only a line inside a block moves the brace depth.  Each
+    statement is tokenized once, when it closes, so cost is linear.
+    """
+    statements: list[Statement] = []
+    lines: list[str] = []  # stripped lines of the open statement
+    start = end = depth = 0
+
+    def close():
+        raw = " ".join(lines)
         statements.append(Statement(raw, start, end, tuple(tokenize(raw))))
 
     for idx, line in enumerate(doc.text.split("\n"), start=1):
         t = line.strip()
         if not t:
             continue
-        opens, closes = t.count("{"), t.count("}")
-        if pending is not None:
-            pending["raw"] += " " + t
-            pending["end"] = idx
-            depth += opens - closes
-            if depth <= 0:
-                flush(pending["raw"], pending["start"], pending["end"])
-                pending = None
-                depth = 0
-            continue
-        if t.startswith("|") and statements:
-            prev = statements.pop()
-            flush(prev.raw + " " + t, prev.line_start, idx)
-            continue
-        if opens > closes:
-            pending = {"raw": t, "start": idx, "end": idx}
-            depth = opens - closes
-            continue
-        flush(t, idx, idx)
+        delta = t.count("{") - t.count("}")
+        if depth > 0:
+            depth = max(depth + delta, 0)
+        elif not (lines and t.startswith("|")):
+            if lines:
+                close()
+            lines, start, depth = [], idx, max(delta, 0)
+        lines.append(t)
+        end = idx
 
-    if pending is not None:
-        if warnings is not None:
-            warnings.append(
-                Warning_(
-                    "UnbalancedBraces",
-                    "opening brace never closed; block emitted as-is",
-                    pending["start"],
-                )
-            )
-        flush(pending["raw"], pending["start"], pending["end"])
+    if depth > 0 and warnings is not None:
+        message = "opening brace never closed; block emitted as-is"
+        warnings.append(Warning_("UnbalancedBraces", message, start))
+    if lines:
+        close()
     return statements
 
 

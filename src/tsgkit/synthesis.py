@@ -35,7 +35,7 @@ from .dsl import (
     RegPos,
     SubStr,
     TokenClass,
-    program_key,
+    atom_key,
 )
 
 
@@ -204,10 +204,6 @@ def _produces(expr: Atom | Branch | ExtractionProgram, inp: str, out: str) -> bo
         return False
 
 
-def _branch_rank_key(b: Branch) -> tuple:
-    return program_key(ExtractionProgram(default=b))
-
-
 def _decompose(inp: str, out: str) -> list[tuple[str, str]]:
     """Greedy split of `out` into maximal input-substring spans and constants."""
     parts: list[tuple[str, str]] = []
@@ -290,7 +286,7 @@ def _branch_for_pairs(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[
             cands = [a for a in cands if not isinstance(a, ConstStr)]
         if not cands:
             return None
-        atoms.append(min((Branch((a,)) for a in cands), key=_branch_rank_key).atoms[0])
+        atoms.append(min(cands, key=atom_key))
     branch = Branch(tuple(atoms))
     if all(_produces(branch, i, o) for i, o in pairs):
         return branch

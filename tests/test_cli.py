@@ -224,6 +224,20 @@ def test_eval_k_larger_than_class_is_input_error(tmp_path):
     assert run("--config", cfg, "--seed", "1", "eval", tiny_corpus(tmp_path), "--k", "9") == 2
 
 
+@pytest.mark.parametrize("knn_k", ["0", "-1"])
+def test_eval_knn_k_below_one_is_config_error_before_any_fit(
+    tmp_path, capsys, monkeypatch, knn_k
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fold was fitted")
+
+    monkeypatch.setattr("tsgkit.cli.fit", no_fit)
+    cfg = config_file(tmp_path)
+    corpus = tiny_corpus(tmp_path)
+    assert run("--config", cfg, "--seed", "1", "--knn-k", knn_k, "eval", corpus) == 3
+    assert "knn_k must be at least 1" in capsys.readouterr().err
+
+
 def test_automate_missing_model_is_config_error(tmp_path):
     cfg = config_file(tmp_path)
     tsg = tmp_path / "t.md"

@@ -72,6 +72,16 @@ def test_constant_parser_hits_iteration_limit():
     assert warnings and warnings[0].kind == "IterationLimitExceeded"
 
 
+def test_iteration_limit_warning_names_the_statement_line():
+    # More than 100 iterations: the constant never leaves the text.
+    registry = ParserRegistry()
+    registry.put(RegistryEntry("x", "forever", prog('const("x")'), repeats=True))
+    warnings = []
+    parsed = extract(Statement("yyy", 7, 9, ("yyy",)), "x", registry, warnings=warnings)
+    assert len(parsed.constituents["forever"]) == 100
+    assert [(w.kind, w.line) for w in warnings] == [("IterationLimitExceeded", 7)]
+
+
 def test_overlapping_values_delete_longest_first():
     first = prog('const("abc")')
     second = prog('const("ab")')

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsgkit.ingest import RawDocument, clean_document, segment, tokenize
+from tsgkit import ingest
+from tsgkit.ingest import RawDocument, Statement, Warning_, clean_document, segment, tokenize
 
 
 def doc(text: str) -> RawDocument:
@@ -107,6 +108,111 @@ def test_statement_invariants():
     for s in segment(doc("a\nb {\nc\n}\nd")):
         assert s.line_start <= s.line_end
         assert len(s.tokens) >= 1
+
+
+def reference_segment(doc, warnings=None):
+    """Segmentation as first written: a pending brace block, and a pipe line
+    that pops the previous statement and re-tokenizes the merged text."""
+    statements = []
+    pending = None
+    depth = 0
+
+    def flush(raw, start, end):
+        statements.append(Statement(raw, start, end, tuple(tokenize(raw))))
+
+    for idx, line in enumerate(doc.text.split("\n"), start=1):
+        t = line.strip()
+        if not t:
+            continue
+        opens, closes = t.count("{"), t.count("}")
+        if pending is not None:
+            pending["raw"] += " " + t
+            pending["end"] = idx
+            depth += opens - closes
+            if depth <= 0:
+                flush(pending["raw"], pending["start"], pending["end"])
+                pending = None
+                depth = 0
+            continue
+        if t.startswith("|") and statements:
+            prev = statements.pop()
+            flush(prev.raw + " " + t, prev.line_start, idx)
+            continue
+        if opens > closes:
+            pending = {"raw": t, "start": idx, "end": idx}
+            depth = opens - closes
+            continue
+        flush(t, idx, idx)
+
+    if pending is not None:
+        if warnings is not None:
+            warnings.append(
+                Warning_(
+                    "UnbalancedBraces",
+                    "opening brace never closed; block emitted as-is",
+                    pending["start"],
+                )
+            )
+        flush(pending["raw"], pending["start"], pending["end"])
+    return statements
+
+
+SEGMENT_LINES = st.sampled_from(
+    ["{", "}", "{{", "}}", "| where x > 1", "| b {", "| }", "  |x", "", "   ",
+     "text", "a {", "b }", "c } {", "if ($x) { Do-It }", "Get-Item $y"]
+)
+
+
+def _segment_view(stmts, warnings):
+    return (
+        [(s.raw, s.line_start, s.line_end, s.tokens) for s in stmts],
+        [(w.kind, w.line, w.message) for w in warnings],
+    )
+
+
+@given(st.lists(SEGMENT_LINES, max_size=16))
+def test_segment_matches_reference(lines):
+    d = doc("\n".join(lines))
+    got_w, want_w = [], []
+    got = segment(d, warnings=got_w)
+    want = reference_segment(d, warnings=want_w)
+    assert _segment_view(got, got_w) == _segment_view(want, want_w)
+
+
+def test_pipe_after_closed_block_joins_it():
+    stmts = segment(doc("a {\n}\n| b"))
+    assert [(s.raw, s.line_start, s.line_end) for s in stmts] == [("a { } | b", 1, 3)]
+
+
+def test_pipe_line_with_brace_opens_no_block():
+    warnings = []
+    stmts = segment(doc("a\n| b {\nc"), warnings=warnings)
+    assert [(s.raw, s.line_start, s.line_end) for s in stmts] == [
+        ("a | b {", 1, 2),
+        ("c", 3, 3),
+    ]
+    assert warnings == []
+
+
+def test_pipe_inside_unclosed_block_joins_and_warns_at_first_line():
+    warnings = []
+    stmts = segment(doc("a {{\n}\n| p"), warnings=warnings)
+    assert [s.raw for s in stmts] == ["a {{ } | p"]
+    assert [(w.kind, w.line) for w in warnings] == [("UnbalancedBraces", 1)]
+
+
+def test_long_pipe_run_tokenizes_each_statement_once(monkeypatch):
+    calls = []
+
+    def counting_tokenize(raw):
+        calls.append(len(raw))
+        return tokenize(raw)
+
+    monkeypatch.setattr(ingest, "tokenize", counting_tokenize)
+    text = "StormEvents\n" + "\n".join("| where x > 1" for _ in range(2000)) + "\nnext"
+    stmts = segment(doc(text))
+    assert [(s.line_start, s.line_end) for s in stmts] == [(1, 2001), (2002, 2002)]
+    assert len(calls) == len(stmts)
 
 
 # --- tokenizer ---------------------------------------------------------------

@@ -188,7 +188,7 @@ FRAGMENTS = (
     "https://portal.example.com/a?b=c&d=%20", "![graph](img/a.png)", "[link](x)",
     "$rules = Get-TransportRule -Organization $org", "StormEvents | count",
     "If the status is False delete the resource", "Ünïcödé ✓ 日本語 🙂",
-    "\r", "\t", "\x00", " ", "word " * 60,
+    "\r", "\t", "\x00", " ", "word " * 60, "\n| where x > 1" * 300,
 )
 LINES = st.lists(
     st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=30)), max_size=5

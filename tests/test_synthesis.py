@@ -241,7 +241,10 @@ def reference_single_atom(pairs, bounds):
     ]
     if not survivors:
         return None
-    return min((Branch((a,)) for a in survivors), key=synthesis._branch_rank_key)
+    return min(
+        (Branch((a,)) for a in survivors),
+        key=lambda b: program_key(ExtractionProgram(default=b)),
+    )
 
 
 def reference_multi_atom(pairs, bounds):
@@ -275,7 +278,11 @@ def reference_multi_atom(pairs, bounds):
         ]
         if not cands:
             return None
-        atoms.append(min((Branch((a,)) for a in cands), key=synthesis._branch_rank_key).atoms[0])
+        best = min(
+            (Branch((a,)) for a in cands),
+            key=lambda b: program_key(ExtractionProgram(default=b)),
+        )
+        atoms.append(best.atoms[0])
     branch = Branch(tuple(atoms))
     if all(synthesis._produces(branch, i, o) for i, o in pairs):
         return branch
