@@ -35,7 +35,7 @@ corpus = evalharness.load_corpus(data_path("corpus.jsonl"))
 hyper = Hyper(max_len=32, seed=42, epochs=15)
 n_pairs = 2000
 print(f"training on {n_pairs} statement pairs ...")
-vocab, model, prototypes = fit(corpus.examples, hyper, n_pairs)
+vocab, model, prototypes = fit(corpus, hyper, n_pairs)
 print(f"epoch mean loss: {model.loss_trace[0]:.3f} -> {model.loss_trace[-1]:.3f}\n")
 
 # --- classify every statement of the guide -----------------------------------

@@ -42,7 +42,7 @@ for sentence in [
     "If average latency is > 300 ms",
     "restart the service",
 ]:
-    print(tag_clauses(sentence).text)
+    print(tag_clauses(sentence))
 print()
 
 # --- conditional constituents through the registry ----------------------------

@@ -31,7 +31,7 @@ PARSER_SPECS = (
 
 corpus = evalharness.load_corpus(data_path("corpus.jsonl"))
 print("training the classifier ...")
-vocab, model, prototypes = fit(corpus.examples, Hyper(max_len=32, seed=42, epochs=15), 2000)
+vocab, model, prototypes = fit(corpus, Hyper(max_len=32, seed=42, epochs=15), 2000)
 
 print("synthesizing the parser registry ...")
 registry = ParserRegistry()

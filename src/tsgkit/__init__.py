@@ -6,7 +6,7 @@ constituents with parsers synthesized from input/output examples, and
 emit a schematized document plus a notebook-style workflow.
 """
 
-from .clauses import Lexicon, TaggedSentence, load_lexicon, strip_tags, tag_clauses
+from .clauses import Lexicon, load_lexicon, strip_tags, tag_clauses
 from .dsl import (
     AbsPos,
     Branch,
@@ -59,6 +59,6 @@ from .synthesis import (
     load_spec,
     synthesize,
 )
-from .vectorize import BowVector, IndexSequence, Vocabulary, bow, build_vocabulary, encode
+from .vectorize import IndexSequence, Vocabulary, bow, build_vocabulary, encode
 
 __version__ = "0.1.0"

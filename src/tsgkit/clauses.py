@@ -41,36 +41,34 @@ class Lexicon:
 
 
 def load_lexicon(path: str) -> Lexicon:
-    """Plain-text lexicon: one phrase per line under [section] headers."""
+    """Plain-text lexicon: one phrase per line under [section] headers.
+
+    Errors name `path:line`.
+    """
     sections: dict[str, list[str]] = {"subordinators": [], "second_clause_signals": []}
     current = None
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                if current not in sections:
-                    raise ValueError(f"unknown lexicon section {current!r}")
-                continue
-            if current is None:
-                raise ValueError("lexicon phrase outside any section")
-            sections[current].append(line.lower())
+        lines = fh.read().split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1]
+            if current not in sections:
+                raise ValueError(f"{path}:{lineno}: unknown lexicon section {current!r}")
+            continue
+        if current is None:
+            raise ValueError(f"{path}:{lineno}: lexicon phrase outside any section")
+        sections[current].append(line.lower())
     return Lexicon(
         subordinators=tuple(sections["subordinators"]),
         second_clause_signals=tuple(sections["second_clause_signals"]),
     )
 
 
-@dataclass(frozen=True)
-class TaggedSentence:
-    text: str
-    original: str
-
-
-def strip_tags(t: TaggedSentence) -> str:
-    return TAG_RE.sub("", t.text)
+def strip_tags(text: str) -> str:
+    return TAG_RE.sub("", text)
 
 
 def _word_spans(s: str) -> list[tuple[str, int, int]]:
@@ -92,20 +90,18 @@ def _phrase_at(words, i: int, phrase: str) -> int:
     return len(parts)
 
 
-def _cl1_only(sentence: str, a: int, b: int) -> TaggedSentence:
+def _cl1_only(sentence: str, a: int, b: int) -> str:
     """`sentence` with the span [a, b) wrapped as the only clause."""
-    return TaggedSentence(
-        sentence[:a] + "<CL1>" + sentence[a:b] + "</CL1>" + sentence[b:], sentence
-    )
+    return sentence[:a] + "<CL1>" + sentence[a:b] + "</CL1>" + sentence[b:]
 
 
-def tag_clauses(sentence: str, lexicon: Lexicon = Lexicon()) -> TaggedSentence:
+def tag_clauses(sentence: str, lexicon: Lexicon = Lexicon()) -> str:
     """Always returns a tagging; strip_tags() recovers the input exactly."""
     if not sentence:
         raise ValueError("sentence must be non-empty")
     words = _word_spans(sentence)
     if not words:
-        return TaggedSentence(sentence, sentence)
+        return sentence
 
     sub_len = 0
     for phrase in sorted(lexicon.subordinators, key=lambda p: -len(p.split())):
@@ -171,4 +167,4 @@ def tag_clauses(sentence: str, lexicon: Lexicon = Lexicon()) -> TaggedSentence:
         pieces += ["<CL2>", sentence[cl2_start:cl2_end], "</CL2>", sentence[cl2_end:]]
     else:
         pieces.append(sentence[cl2_start:])
-    return TaggedSentence("".join(pieces), sentence)
+    return "".join(pieces)

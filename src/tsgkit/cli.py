@@ -90,6 +90,14 @@ def _lexicon(cfg: Config) -> Lexicon:
     return load_lexicon(path)
 
 
+def _check_fit_counts(cfg: Config) -> None:
+    # One positive and one negative pair need n_pairs >= 2.
+    if cfg.n_pairs < 2:
+        raise ConfigError("n_pairs must be at least 2")
+    if cfg.min_freq < 1:
+        raise ConfigError("min_freq must be at least 1")
+
+
 def _hyper(cfg: Config, seed: int) -> Hyper:
     try:
         return Hyper(
@@ -112,8 +120,9 @@ def _read_corpus(path: str):
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     seed = _require_seed(cfg)
+    _check_fit_counts(cfg)
     corpus = _read_corpus(args.corpus)
-    vocab, model, protos = fit(corpus.examples, _hyper(cfg, seed), cfg.n_pairs, cfg.min_freq)
+    vocab, model, protos = fit(corpus, _hyper(cfg, seed), cfg.n_pairs, cfg.min_freq)
     os.makedirs(os.path.dirname(cfg.model) or ".", exist_ok=True)
     save_vocabulary(vocab, cfg.vocab)
     save_model(model, cfg.model)
@@ -227,6 +236,7 @@ def cmd_eval(args) -> int:
     seed = _require_seed(cfg)
     if cfg.knn_k < 1:
         raise ConfigError("knn_k must be at least 1")
+    _check_fit_counts(cfg)
     corpus = _read_corpus(args.corpus)
     try:
         results = run_comparison(corpus, args.k, seed, cfg)

@@ -48,16 +48,20 @@ def load_config(path: str) -> Config:
     """Flat `key = value` text; '#' starts a comment."""
     cfg = Config()
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        lines = fh.readlines()
+    try:
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
+                raise ValueError("expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _FIELD_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"unknown key {key!r}")
             setattr(cfg, key, _coerce(key, value))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 

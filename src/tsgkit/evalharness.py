@@ -22,12 +22,7 @@ class OverlapDetected(ValueError):
     pass
 
 
-@dataclass
-class LabeledCorpus:
-    examples: list[tuple[Statement, str]]
-
-
-def load_corpus(path: str) -> LabeledCorpus:
+def load_corpus(path: str) -> list[tuple[Statement, str]]:
     """Line-delimited {"text", "label"} records; errors name `path:line`."""
     examples: list[tuple[Statement, str]] = []
     for i, rec in read_jsonl(path):
@@ -38,7 +33,7 @@ def load_corpus(path: str) -> LabeledCorpus:
             raise ValueError(f"{path}:{i}: expected an object with string text and label")
         text = rec["text"]
         examples.append((Statement(text, i, i, tuple(tokenize(text))), rec["label"]))
-    return LabeledCorpus(examples)
+    return examples
 
 
 def cap_classes(
@@ -99,13 +94,13 @@ def metrics_from_predictions(pairs: list[tuple[str, str]]) -> Metrics:
 
 
 def stratified_folds(
-    corpus: LabeledCorpus, k: int, seed: int
+    corpus: list[tuple[Statement, str]], k: int, seed: int
 ) -> list[list[int]]:
     """k disjoint test folds; per-class counts differ by at most one."""
     if k < 2:
         raise ValueError("k must be >= 2")
     by_class: dict[str, list[int]] = {}
-    for i, (_, label) in enumerate(corpus.examples):
+    for i, (_, label) in enumerate(corpus):
         by_class.setdefault(label, []).append(i)
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
@@ -120,7 +115,7 @@ def stratified_folds(
 
 
 def kfold_eval(
-    corpus: LabeledCorpus,
+    corpus: list[tuple[Statement, str]],
     k: int,
     seed: int,
     trainer: Callable[[list[tuple[Statement, str]], int], object],
@@ -135,12 +130,10 @@ def kfold_eval(
     predictions: list[tuple[str, str]] = []
     for fold_index, test_idx in enumerate(folds):
         test_set = set(test_idx)
-        train_examples = [
-            ex for i, ex in enumerate(corpus.examples) if i not in test_set
-        ]
+        train_examples = [ex for i, ex in enumerate(corpus) if i not in test_set]
         state = trainer(train_examples, seed + fold_index)
         for i in test_idx:
-            stmt, true_label = corpus.examples[i]
+            stmt, true_label = corpus[i]
             predictions.append((true_label, classifier(state, stmt)))
     return metrics_from_predictions(predictions)
 

@@ -57,24 +57,28 @@ def save_registry(registry: ParserRegistry, path: str) -> None:
 
 
 def load_registry(path: str) -> ParserRegistry:
+    """Errors name `path:line`."""
     registry = ParserRegistry()
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != REGISTRY_HEADER:
         raise ValueError(f"{path}: not a parser registry file")
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        component, constituent, repeats, flags, text = line.split("\t", 4)
-        registry.put(
-            RegistryEntry(
-                component,
-                constituent,
-                parse(text),
-                repeats=repeats == "1",
-                preprocess=() if flags == "-" else tuple(flags.split(",")),
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            component, constituent, repeats, flags, text = line.split("\t", 4)
+            registry.put(
+                RegistryEntry(
+                    component,
+                    constituent,
+                    parse(text),
+                    repeats=repeats == "1",
+                    preprocess=() if flags == "-" else tuple(flags.split(",")),
+                )
             )
-        )
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     return registry
 
 
@@ -168,7 +172,7 @@ def _apply_preprocess(
 ) -> list[str]:
     text = raw
     if "tag_clauses" in flags:
-        text = tag_clauses(text, lexicon).text
+        text = tag_clauses(text, lexicon)
     if "split_pipes" in flags:
         return split_pipes(text)
     return [text]

@@ -10,6 +10,7 @@ import numpy as np
 
 from .ingest import Statement
 from .siamese import (
+    DENSE_DIM,
     Hyper,
     SiameseModel,
     embed_batch,
@@ -17,7 +18,7 @@ from .siamese import (
     similarity_from_embeddings,
     train,
 )
-from .vectorize import BowVector, IndexSequence, Vocabulary, build_vocabulary, encode
+from .vectorize import IndexSequence, Vocabulary, build_vocabulary, encode
 
 class EmptyClass(ValueError):
     pass
@@ -101,28 +102,35 @@ def save_prototypes(protos: list[Prototype], path: str) -> None:
 
 
 def load_prototypes(path: str) -> list[Prototype]:
+    """Errors name `path:line`; each vector must have DENSE_DIM values."""
     protos = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        lines = fh.read().split("\n")
+    try:
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            label, count, values = line.rstrip("\n").split("\t")
-            vec = np.array([float(v) for v in values.split(",")])
+            label, count, values = line.split("\t")
+            vec = np.array(list(map(float, values.split(","))))
+            if len(vec) != DENSE_DIM:
+                raise ValueError(f"prototype has {len(vec)} values, not {DENSE_DIM}")
             protos.append(Prototype(label, vec, int(count)))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     return protos
 
 
-def _cosine_distance(a: BowVector, b: BowVector) -> float:
-    dot = sum(n * b.counts.get(i, 0) for i, n in a.counts.items())
-    na = math.sqrt(sum(n * n for n in a.counts.values()))
-    nb = math.sqrt(sum(n * n for n in b.counts.values()))
+def _cosine_distance(a: dict[int, int], b: dict[int, int]) -> float:
+    dot = sum(n * b.get(i, 0) for i, n in a.items())
+    na = math.sqrt(sum(n * n for n in a.values()))
+    nb = math.sqrt(sum(n * n for n in b.values()))
     if na == 0.0 or nb == 0.0:
         return 1.0
     return 1.0 - dot / (na * nb)
 
 
 def knn_bow_classify(
-    train: list[tuple[BowVector, str]], x: BowVector, k: int
+    train: list[tuple[dict[int, int], str]], x: dict[int, int], k: int
 ) -> str:
     """Majority label among the k nearest neighbors under cosine distance.
 

@@ -48,7 +48,7 @@ class Entry:
 
     `similarity` keeps full float precision here; `schematized_to_json`
     writes it rounded to `SIMILARITY_DECIMALS` (6) decimal places, because
-    its low bits depend on the BLAS thread count used to train the model.
+    its low bits depend on the BLAS that the model was trained with.
     """
 
     line_start: int
@@ -68,6 +68,9 @@ class SchematizedTSG:
 
 
 def _is_automatable(component: str, parsed: ParsedComponent) -> bool:
+    # A component without a cell rule (a user's own label) stays prose.
+    if component not in LANGUAGE_TAGS:
+        return False
     if component == "natural_language":
         return "condition" in parsed.constituents
     required = REQUIRED_CONSTITUENTS.get(component, ())
@@ -106,11 +109,11 @@ def schematized_to_json(s: SchematizedTSG) -> str:
     """Serialize a schematized guide as indented JSON.
 
     `similarity` is written rounded to `SIMILARITY_DECIMALS` (6) decimal
-    places.  Multi-threaded BLAS sums partial products in an order that
-    depends on the thread count, so a model trained under a different
-    `OPENBLAS_NUM_THREADS` differs in its last bits and its similarities
-    differ by around 1e-12.  Rounding makes the JSON bytes independent of
-    the thread count; only a value within about 1e-11 of a rounding
+    places.  A BLAS sums partial products in an order that depends on its
+    build and, unless `siamese.train` could pin it to one thread, on its
+    thread count, so such a model differs in its last bits and its
+    similarities differ by around 1e-12.  Rounding makes the JSON bytes
+    independent of that; only a value within about 1e-11 of a rounding
     midpoint could still round differently.  `Entry.similarity` keeps full
     precision, so the winning label is unaffected.
     """
@@ -186,8 +189,8 @@ def emit_workflow(s: SchematizedTSG) -> Workflow:
     """One cell per entry; automatable entries become code cells."""
     wf = Workflow()
     for entry in s.entries:
-        tag = LANGUAGE_TAGS.get(entry.component, "text")
         if entry.automatable:
+            tag = LANGUAGE_TAGS[entry.component]
             wf.cells.append(
                 Cell("code", tag, _code_source(entry), (entry.line_start, entry.line_end))
             )

@@ -26,8 +26,12 @@ depend on it.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -132,7 +136,7 @@ def init_model(vocab_size: int, hyper: Hyper) -> SiameseModel:
 
 
 def _as_batch(xs: list[IndexSequence]) -> np.ndarray:
-    return np.array([x.indices for x in xs], dtype=np.int64)
+    return np.array(xs, dtype=np.int64)
 
 
 class _Workspace:
@@ -494,12 +498,46 @@ def _adam_step(model: SiameseModel, m, v, ws: _Workspace, batch_size: int, step:
     model.flat -= mhat
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS at one thread, then restore
+    the thread count it had.
+
+    A multi-threaded GEMM sums partial products in an order that depends
+    on the thread count, so without the pin the trained bytes would too.
+    The setting is process-wide: BLAS work that another thread runs
+    meanwhile also gets one thread.  When numpy's OpenBLAS or its
+    thread-count functions are not found (another BLAS), nothing is pinned.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*.so*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if set_threads is not None and get_threads is not None:
+                get_threads.restype = ctypes.c_int
+                before = get_threads()
+                set_threads(1)
+                try:
+                    yield
+                finally:
+                    set_threads(before)
+                return
+    yield
+
+
 def train(
     pairs: list[TrainingPair],
     hyper: Hyper,
     vocab_size: int,
 ) -> SiameseModel:
-    """Adam-trained model; identical (seed, hyper, pairs) give identical bytes."""
+    """Adam-trained model; identical (seed, hyper, pairs) give identical bytes.
+
+    Training runs with numpy's bundled OpenBLAS pinned to one thread, so
+    the bytes do not depend on the BLAS thread count; see `_one_blas_thread`
+    for when no pin is possible and for the process-wide side effect.
+    """
     if not any(p.label == 1 for p in pairs):
         raise NoPositivePairs("training needs at least one positive pair")
     if not any(p.label == 0 for p in pairs):
@@ -516,16 +554,17 @@ def train(
     m = np.zeros_like(model.flat)
     v = np.zeros_like(model.flat)
     step = 0
-    for _ in range(hyper.epochs):
-        order = rng.permutation(len(pairs))
-        epoch_loss = 0.0
-        for at in range(0, len(pairs), hyper.batch_size):
-            sel = order[at : at + hyper.batch_size]
-            _, losses = _pair_grads_and_loss(model, a_all[sel], b_all[sel], y_all[sel], ws)
-            epoch_loss += float(losses.sum())
-            step += 1
-            _adam_step(model, m, v, ws, len(sel), step)
-        model.loss_trace.append(epoch_loss / len(pairs))
+    with _one_blas_thread():
+        for _ in range(hyper.epochs):
+            order = rng.permutation(len(pairs))
+            epoch_loss = 0.0
+            for at in range(0, len(pairs), hyper.batch_size):
+                sel = order[at : at + hyper.batch_size]
+                _, losses = _pair_grads_and_loss(model, a_all[sel], b_all[sel], y_all[sel], ws)
+                epoch_loss += float(losses.sum())
+                step += 1
+                _adam_step(model, m, v, ws, len(sel), step)
+            model.loss_trace.append(epoch_loss / len(pairs))
     return model
 
 

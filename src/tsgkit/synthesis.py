@@ -132,7 +132,7 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
         if "tag_clauses" in flags:
             from .clauses import Lexicon, tag_clauses
 
-            text = tag_clauses(text, lexicon or Lexicon()).text
+            text = tag_clauses(text, lexicon or Lexicon())
         if rec.get("output") is None:
             negatives.append(text)
         else:

@@ -53,41 +53,32 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
 
 
 def load_vocabulary(path: str) -> Vocabulary:
+    """Errors name `path:line`."""
     mapping: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.rstrip("\n"):
-                continue
-            tok, idx = line.rstrip("\n").rsplit("\t", 1)
-            mapping[tok] = int(idx)
+        lines = fh.read().split("\n")
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            if line:
+                tok, idx = line.rsplit("\t", 1)
+                mapping[tok] = int(idx)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     return Vocabulary(mapping)
 
 
-@dataclass(frozen=True)
-class IndexSequence:
-    indices: tuple[int, ...]
-    true_len: int
-
-    def __post_init__(self):
-        if self.true_len > len(self.indices):
-            raise ValueError("true_len exceeds sequence length")
+# A statement's token indices, padded with PAD to a fixed length.
+IndexSequence = tuple[int, ...]
 
 
 def encode(stmt: Statement, vocab: Vocabulary, max_len: int = 64) -> IndexSequence:
     """Map the first max_len tokens to indices; pad the tail with 0."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    kept = stmt.tokens[:max_len]
-    indices = [vocab.index(t) for t in kept]
-    indices += [PAD] * (max_len - len(indices))
-    return IndexSequence(tuple(indices), len(kept))
+    indices = [vocab.index(t) for t in stmt.tokens[:max_len]]
+    return tuple(indices) + (PAD,) * (max_len - len(indices))
 
 
-@dataclass(frozen=True)
-class BowVector:
-    counts: dict[int, int]
-
-
-def bow(stmt: Statement, vocab: Vocabulary) -> BowVector:
-    counts: Counter[int] = Counter(vocab.index(t) for t in stmt.tokens)
-    return BowVector(dict(counts))
+def bow(stmt: Statement, vocab: Vocabulary) -> dict[int, int]:
+    """Count of each token index in the statement."""
+    return dict(Counter(vocab.index(t) for t in stmt.tokens))

@@ -74,7 +74,7 @@ def corpus():
 @pytest.fixture(scope="session")
 def trained(corpus):
     """(model, vocab, prototypes) trained once on the bundled corpus."""
-    vocab, model, protos = fit(corpus.examples, ACC_HYPER, ACC_N_PAIRS)
+    vocab, model, protos = fit(corpus, ACC_HYPER, ACC_N_PAIRS)
     return model, vocab, protos
 
 

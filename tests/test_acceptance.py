@@ -25,7 +25,6 @@ from tsgkit.siamese import (
     pair_similarity,
 )
 from tsgkit.synthesis import synthesize
-from tsgkit.vectorize import IndexSequence
 
 
 def ok(criterion: str, detail: str = ""):
@@ -120,8 +119,8 @@ def test_c04_similarity_properties():
     checked = 0
     for _ in range(1000):
         model = init_model(10, Hyper(max_len=8, seed=int(rng.integers(1 << 30))))
-        a = IndexSequence(tuple(int(v) for v in rng.integers(0, 10, 8)), 8)
-        b = IndexSequence(tuple(int(v) for v in rng.integers(0, 10, 8)), 8)
+        a = tuple(int(v) for v in rng.integers(0, 10, 8))
+        b = tuple(int(v) for v in rng.integers(0, 10, 8))
         pab = pair_similarity(model, a, b)
         pba = pair_similarity(model, b, a)
         assert abs(pab - pba) <= 1e-12
@@ -134,8 +133,8 @@ def test_c04_similarity_properties():
 def test_c05_gradient_check():
     rng = np.random.default_rng(36)
     model = init_model(10, Hyper(max_len=8, seed=36))
-    a = IndexSequence(tuple(int(v) for v in rng.permutation(8) + 2), 8)
-    b = IndexSequence(tuple(int(v) for v in rng.permutation(8) + 2), 8)
+    a = tuple(int(v) for v in rng.permutation(8) + 2)
+    b = tuple(int(v) for v in rng.permutation(8) + 2)
     ab, bb = _as_batch([a, a]), _as_batch([b, b])
     yb = np.array([1.0, 0.0])
     analytic, _ = _pair_grads_and_loss(model, ab, bb, yb)
@@ -175,7 +174,7 @@ def test_c06_prototype_oracle(trained, corpus):
 
     model, vocab, _ = trained
     support: dict[str, list] = {}
-    for s, label in corpus.examples:
+    for s, label in corpus:
         support.setdefault(label, []).append(encode(s, vocab, ACC_HYPER.max_len))
     protos = {p.label: p.vector for p in compute_prototypes(model, support)}
     worst = 0.0
@@ -191,7 +190,7 @@ def test_c06_prototype_oracle(trained, corpus):
 
 def test_c07_classifier_quality(corpus):
     per_class = {}
-    for _, label in corpus.examples:
+    for _, label in corpus:
         per_class[label] = per_class.get(label, 0) + 1
     assert len(per_class) == 7
     assert all(n >= 30 for n in per_class.values())

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -122,6 +123,62 @@ def test_malformed_record_is_input_error(tmp_path, capsys, command, body, line):
     assert err.count(str(path)) == 1
 
 
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """An artifact directory from `train` plus a one-entry registry from `synthesize`."""
+    root = tmp_path_factory.mktemp("fit")
+    cfg = config_file(root)
+    assert run("--config", cfg, "--seed", "1", "--quiet", "train", tiny_corpus(root)) == 0
+    spec = os.path.join(data_path("specs"), "kusto_query.jsonl")
+    assert run("--config", cfg, "--quiet", "synthesize", spec) == 0
+    return root / "art"
+
+
+@pytest.mark.parametrize(
+    "name, line, corrupt",
+    [
+        ("vocab.tsv", 3, lambda text: text.replace("\t", " ")),
+        ("vocab.tsv", 1, lambda text: text.split("\t")[0] + "\tseven"),
+        ("protos.tsv", 2, lambda text: text.rsplit(",", 1)[0]),
+        ("protos.tsv", 1, lambda text: text.replace(",", ",x,", 1)),
+        ("registry.txt", 2, lambda text: "\t".join(text.split("\t")[:2])),
+        ("registry.txt", 2, lambda text: text.rsplit("\t", 1)[0] + "\tsub(AbsPos(0), "),
+        ("lexicon.txt", 2, lambda text: "[clauses]"),
+    ],
+    ids=[
+        "vocab-line-without-tab",
+        "vocab-index-not-int",
+        "prototype-one-value-short",
+        "prototype-value-not-float",
+        "registry-two-fields",
+        "registry-bad-program",
+        "lexicon-unknown-section",
+    ],
+)
+def test_corrupt_artifact_line_is_input_error(tmp_path, capsys, artifacts, name, line, corrupt):
+    shutil.copytree(artifacts, tmp_path / "art")
+    lexicon = tmp_path / "art" / "lexicon.txt"
+    lexicon.write_text("[subordinators]\nif\n[second_clause_signals]\nthen\n")
+    cfg = config_file(tmp_path, lexicon=lexicon)
+    path = tmp_path / "art" / name
+    lines = path.read_text().split("\n")
+    lines[line - 1] = corrupt(lines[line - 1])
+    path.write_text("\n".join(lines))
+    tsg = tmp_path / "t.md"
+    tsg.write_text("StormEvents | count\n")
+    assert run("--config", cfg, "automate", str(tsg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ")
+    assert err.count(str(path)) == 1
+
+
+def test_config_value_of_wrong_type_names_line(tmp_path, capsys):
+    cfg = config_file(tmp_path, epochs="abc")
+    assert run("--config", cfg, "--seed", "1", "train", tiny_corpus(tmp_path)) == 3
+    # epochs is the config file's fifth line.
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}:5: invalid literal for int()")
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("max_occurrence", 0), ("abs_window", -1), ("max_atoms", 0), ("max_branches", 0)],
@@ -149,6 +206,31 @@ def test_out_of_range_hyper_is_config_error(tmp_path, capsys, key, value, messag
     cfg = config_file(tmp_path)
     flag = "--" + key.replace("_", "-")
     assert run("--config", cfg, "--seed", "1", flag, value, "train", tiny_corpus(tmp_path)) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n_pairs", "0", "n_pairs must be at least 2"),
+        ("n_pairs", "-3", "n_pairs must be at least 2"),
+        ("n_pairs", "1", "n_pairs must be at least 2"),
+        ("min_freq", "0", "min_freq must be at least 1"),
+    ],
+    ids=["pairs-zero", "pairs-negative", "pairs-one", "min-freq-zero"],
+)
+def test_out_of_range_fit_count_is_config_error_before_any_fit(
+    tmp_path, capsys, monkeypatch, command, key, value, message
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr("tsgkit.cli.fit", no_fit)
+    cfg = config_file(tmp_path)
+    flag = "--" + key.replace("_", "-")
+    assert run("--config", cfg, "--seed", "1", flag, value, command, tiny_corpus(tmp_path)) == 3
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "art").exists()
 

@@ -4,7 +4,6 @@ import pytest
 
 from tsgkit.evalharness import (
     ClassTooSmall,
-    LabeledCorpus,
     OverlapDetected,
     cap_classes,
     kfold_eval,
@@ -28,7 +27,7 @@ def tiny_corpus(per_class=6, classes=("a", "b", "c")):
     for c in classes:
         for i in range(per_class):
             examples.append((stmt(f"{c}{i}"), c))
-    return LabeledCorpus(examples)
+    return examples
 
 
 # --- folds -------------------------------------------------------------------
@@ -38,14 +37,14 @@ def test_folds_partition_every_example_once():
     corpus = tiny_corpus()
     folds = stratified_folds(corpus, 3, seed=0)
     seen = [i for fold in folds for i in fold]
-    assert sorted(seen) == list(range(len(corpus.examples)))
+    assert sorted(seen) == list(range(len(corpus)))
 
 
 def test_folds_keep_class_proportions():
     corpus = tiny_corpus(per_class=7)
     folds = stratified_folds(corpus, 3, seed=1)
     for fold in folds:
-        counts = collections.Counter(corpus.examples[i][1] for i in fold)
+        counts = collections.Counter(corpus[i][1] for i in fold)
         assert max(counts.values()) - min(counts.values()) <= 1
 
 
@@ -69,7 +68,7 @@ def perfect_trainer(train_examples, fold_seed):
 
 def test_perfect_classifier_scores_one():
     corpus = tiny_corpus()
-    truth = {s.raw: label for s, label in corpus.examples}
+    truth = {s.raw: label for s, label in corpus}
     metrics = kfold_eval(corpus, 3, 0, perfect_trainer, lambda st, s: truth[s.raw])
     assert metrics.accuracy == 1.0
     assert all(cm.f1 == 1.0 for cm in metrics.per_class.values())
@@ -132,7 +131,7 @@ def test_corpus_file_round_trip(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"text": "a b", "label": "x"}\n{"text": "c", "label": "y"}\n')
     corpus = load_corpus(str(path))
-    assert [(s.raw, label) for s, label in corpus.examples] == [("a b", "x"), ("c", "y")]
+    assert [(s.raw, label) for s, label in corpus] == [("a b", "x"), ("c", "y")]
 
 
 # --- parsing report ----------------------------------------------------------

@@ -15,11 +15,10 @@ from tsgkit.identify import (
     save_prototypes,
 )
 from tsgkit.siamese import Hyper, embed_batch, init_model
-from tsgkit.vectorize import BowVector, IndexSequence
 
 
 def seq(*indices, max_len=8):
-    return IndexSequence(tuple(indices) + (0,) * (max_len - len(indices)), len(indices))
+    return tuple(indices) + (0,) * (max_len - len(indices))
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +127,7 @@ def test_prototype_file_round_trip(model, tmp_path):
 
 
 def v(**counts):
-    return BowVector({int(k[1:]): n for k, n in counts.items()})
+    return {int(k[1:]): n for k, n in counts.items()}
 
 
 def test_knn_exact_match_wins_at_k1():

@@ -223,3 +223,15 @@ def test_markdown_like_input_never_crashes(text, untrained, registry):
     json.loads(schematized_to_json(schema))
     json.loads(workflow_to_json(workflow))
     assert_each_nonblank_line_in_one_cell(doc, workflow)
+
+
+def test_component_without_cell_rule_becomes_markdown(untrained, registry):
+    # A corpus with labels of its own can make any string a component.
+    model, vocab, _ = untrained
+    text = "ls -la /var/log"
+    stmt = Statement(text, 1, 1, tuple(tokenize(text)))
+    protos = compute_prototypes(model, {"bash": [encode(stmt, vocab, model.hyper.max_len)]})
+    schema = schematize(RawDocument(text, "b.md"), model, vocab, protos, registry)
+    assert [(e.component, e.automatable) for e in schema.entries] == [("bash", False)]
+    (cell,) = emit_workflow(schema).cells
+    assert (cell.kind, cell.language_tag, cell.source) == ("markdown", "text", text)

@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import tsgkit
 from conftest import golden_path
+from tsgkit.config import data_path
 from tsgkit.siamese import (
     DENSE_DIM,
     MAGIC,
@@ -33,12 +38,10 @@ from tsgkit.siamese import (
     save_model,
     train,
 )
-from tsgkit.vectorize import IndexSequence
 
 
 def seq(*indices, max_len=8):
-    padded = tuple(indices) + (0,) * (max_len - len(indices))
-    return IndexSequence(padded, len(indices))
+    return tuple(indices) + (0,) * (max_len - len(indices))
 
 
 MINI = Hyper(max_len=8, seed=36)
@@ -385,7 +388,7 @@ def test_large_sample_balance(corpus, trained):
     _, vocab, _ = trained
     from tsgkit.vectorize import encode
 
-    encoded = [(encode(s, vocab, 32), label) for s, label in corpus.examples]
+    encoded = [(encode(s, vocab, 32), label) for s, label in corpus]
     pairs = sample_pairs(encoded, seed=3, n_pairs=2000)
     pos = sum(p.label for p in pairs)
     assert abs(pos - (len(pairs) - pos)) <= 1
@@ -423,6 +426,33 @@ def test_identical_seeds_identical_bytes(tmp_path):
     save_model(train(_tiny_pairs(), hyper, 10), str(p1))
     save_model(train(_tiny_pairs(), hyper, 10), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_model_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    # The smallest bundled-corpus fit found whose bytes differed between 1
+    # and 2 OpenBLAS threads before `train` pinned one thread: 72 pairs are
+    # two full batches and a partial one.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(tsgkit.__file__)), env.get("PYTHONPATH")) if p
+    )
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "tsgkit.cli", "--seed", "42", "--quiet",
+                "--max-len", "16", "--n-pairs", "72", "--epochs", "1",
+                "--vocab", str(out / "vocab.tsv"), "--model", str(out / "model.bin"),
+                "--prototypes", str(out / "protos.tsv"),
+                "train", data_path("corpus.jsonl"),
+            ],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        blobs.append((out / "model.bin").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def _per_tensor_train(pairs, hyper, vocab_size):

@@ -72,35 +72,33 @@ def test_vocabulary_round_trip(tmp_path):
 def test_encode_pads_tail():
     vocab = build_vocabulary([stmt(["a"])])
     seq = encode(stmt(["a"]), vocab, max_len=4)
-    assert seq.indices == (2, 0, 0, 0)
-    assert seq.true_len == 1
+    assert seq == (2, 0, 0, 0)
 
 
 def test_encode_unknowns_map_to_one():
     vocab = build_vocabulary([stmt(["a"])])
     seq = encode(stmt(["zz", "qq"]), vocab, max_len=3)
-    assert seq.indices == (1, 1, 0)
+    assert seq == (1, 1, 0)
 
 
 def test_encode_truncates_prefix():
     vocab = build_vocabulary([stmt(["a", "b", "c"])])
     seq = encode(stmt(["a", "b", "c"]), vocab, max_len=2)
-    assert len(seq.indices) == 2
-    assert seq.true_len == 2
-    assert seq.indices[0] == vocab.index("a")
+    assert len(seq) == 2
+    assert seq[0] == vocab.index("a")
 
 
 def test_encode_round_trip_known_tokens():
     vocab = build_vocabulary([stmt(["a", "b", "c"])])
     rev = {i: t for t, i in vocab.token_to_index.items()}
     seq = encode(stmt(["c", "a"]), vocab, max_len=5)
-    decoded = [rev[i] for i in seq.indices[: seq.true_len]]
+    decoded = [rev[i] for i in seq[:2]]
     assert decoded == ["c", "a"]
 
 
 def test_bow_counts():
     vocab = build_vocabulary([stmt(["a", "b"])])
     vec = bow(stmt(["a", "a", "zz"]), vocab)
-    assert vec.counts[vocab.index("a")] == 2
-    assert vec.counts[1] == 1  # unknown bucket
-    assert all(c >= 1 for c in vec.counts.values())
+    assert vec[vocab.index("a")] == 2
+    assert vec[1] == 1  # unknown bucket
+    assert all(c >= 1 for c in vec.values())
