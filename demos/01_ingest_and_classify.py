@@ -8,7 +8,7 @@ Run from the repository root:
 
 from tsgkit import evalharness
 from tsgkit.config import data_path
-from tsgkit.identify import classify, fit
+from tsgkit.identify import classify_batch, fit
 from tsgkit.ingest import RawDocument, clean_document, segment
 from tsgkit.siamese import Hyper
 from tsgkit.vectorize import encode
@@ -39,7 +39,9 @@ vocab, model, prototypes = fit(corpus, hyper, n_pairs)
 print(f"epoch mean loss: {model.loss_trace[0]:.3f} -> {model.loss_trace[-1]:.3f}\n")
 
 # --- classify every statement of the guide -----------------------------------
+# Each statement is embedded on its own, so the whole guide goes through the
+# network in one batch.  The margin is the winner's lead over the runner-up.
 
-for s in statements:
-    result = classify(model, prototypes, encode(s, vocab, hyper.max_len))
-    print(f"{result.label:<17} {result.similarity:.3f}  {s.raw[:58]}")
+results = classify_batch(model, prototypes, [encode(s, vocab, hyper.max_len) for s in statements])
+for s, result in zip(statements, results):
+    print(f"{result.label:<17} {result.similarity:.3f} +{result.margin:.3f}  {s.raw[:52]}")

@@ -35,6 +35,7 @@ from .identify import (
     Classification,
     Prototype,
     classify,
+    classify_batch,
     compute_prototypes,
     fit,
     knn_bow_classify,

@@ -22,7 +22,7 @@ from .extract import (
     load_registry,
     save_registry,
 )
-from .identify import classify, fit, load_prototypes, save_prototypes
+from .identify import classify, classify_batch, fit, load_prototypes, save_prototypes
 from .ingest import RawDocument, Statement, tokenize
 from .pipeline import emit_workflow, schematize, schematized_to_json, workflow_to_json
 from .siamese import Hyper, load_model, save_model
@@ -151,6 +151,7 @@ def cmd_classify(args) -> int:
     cls = classify(model, protos, encode(_statement(args.text), vocab, model.hyper.max_len))
     print(cls.label)
     if not args.quiet:
+        print(f"  runner-up {cls.runner_up or '-'}, margin {cls.margin:.6f}")
         for label in sorted(cls.per_class, key=lambda c: -cls.per_class[c]):
             print(f"  {label:<18}{cls.per_class[label]:.6f}")
     return EXIT_OK
@@ -259,17 +260,18 @@ def run_comparison(corpus, k: int, seed: int, cfg: Config):
     def siamese_trainer(train_examples, fold_seed):
         return fit(train_examples, _hyper(cfg, fold_seed), cfg.n_pairs, cfg.min_freq)
 
-    def siamese_classifier(state, stmt):
+    def siamese_classifier(state, stmts):
         vocab, model, protos = state
-        return classify(model, protos, encode(stmt, vocab, cfg.max_len)).label
+        xs = [encode(s, vocab, cfg.max_len) for s in stmts]
+        return [c.label for c in classify_batch(model, protos, xs)]
 
     def knn_trainer(train_examples, fold_seed):
         vocab = build_vocabulary([s for s, _ in train_examples], cfg.min_freq)
         return vocab, [(bow(s, vocab), label) for s, label in train_examples]
 
-    def knn_classifier(state, stmt):
+    def knn_classifier(state, stmts):
         vocab, rows = state
-        return knn_bow_classify(rows, bow(stmt, vocab), cfg.knn_k)
+        return [knn_bow_classify(rows, bow(s, vocab), cfg.knn_k) for s in stmts]
 
     return {
         "siamese": evalharness.kfold_eval(corpus, k, seed, siamese_trainer, siamese_classifier),

@@ -189,6 +189,9 @@ def _pick(rng, pool):
     return pool[rng.integers(len(pool))]
 
 
+# Classes whose statements are single picks from a pool.
+_POOLS = {"adf": _ADF_URLS, "jarvis": _JARVIS_URLS}
+
 _GENERATORS = {
     "kusto": _gen_kusto,
     "powershell": _gen_powershell,
@@ -201,20 +204,34 @@ _GENERATORS = {
 
 
 def generate_corpus(seed: int = 7, per_class: int = 40) -> list[tuple[str, str]]:
-    """Deterministic (text, label) list; duplicates allowed for URL classes."""
+    """Deterministic (text, label) list; duplicates allowed for URL classes.
+
+    Each class starts from its fixed exemplars and draws up to
+    `per_class * 60` candidates, keeping the new ones, then fills up with
+    plain draws if it is still short.
+    """
     rng = np.random.default_rng(seed)
     rows: list[tuple[str, str]] = []
     for label in CLASSES:
         seen: list[str] = list(FIXED.get(label, ()))
-        gen = _GENERATORS[label]
-        attempts = 0
-        while len(seen) < per_class and attempts < per_class * 60:
-            candidate = gen(rng)
-            attempts += 1
-            if candidate not in seen:
-                seen.append(candidate)
-        while len(seen) < per_class:
-            seen.append(gen(rng))
+        pool = _POOLS.get(label)
+        if pool is not None and len(seen) + len(set(pool) - set(seen)) < per_class:
+            # The pool cannot fill the class, so every attempt is drawn; one
+            # vector draw gives the same stream as that many scalar ones.
+            picks = rng.integers(len(pool), size=per_class * 60).tolist()
+            seen += [text for text in dict.fromkeys(pool[i] for i in picks) if text not in seen]
+            fill = rng.integers(len(pool), size=per_class - len(seen)).tolist()
+            seen += [pool[i] for i in fill]
+        else:
+            gen = _GENERATORS[label]
+            attempts = 0
+            while len(seen) < per_class and attempts < per_class * 60:
+                candidate = gen(rng)
+                attempts += 1
+                if candidate not in seen:
+                    seen.append(candidate)
+            while len(seen) < per_class:
+                seen.append(gen(rng))
         rows.extend((text, label) for text in seen[:per_class])
     return rows
 

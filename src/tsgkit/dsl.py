@@ -302,6 +302,9 @@ def serialize(prog: ExtractionProgram) -> str:
     return f"switch({','.join(parts)})"
 
 
+_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*|-?[0-9]+")
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -326,10 +329,10 @@ class _Parser:
 
     def word(self) -> str:
         self.skip_ws()
-        m = re.match(r"[A-Za-z][A-Za-z0-9]*|-?[0-9]+", self.text[self.i :])
+        m = _WORD_RE.match(self.text, self.i)
         if not m:
             raise self.error("expected identifier or number")
-        self.i += m.end()
+        self.i = m.end()
         return m.group(0)
 
     def string(self) -> str:

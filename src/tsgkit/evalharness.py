@@ -119,12 +119,12 @@ def kfold_eval(
     k: int,
     seed: int,
     trainer: Callable[[list[tuple[Statement, str]], int], object],
-    classifier: Callable[[object, Statement], str],
+    classifier: Callable[[object, list[Statement]], list[str]],
 ) -> Metrics:
     """Train on k-1 folds, classify the held-out fold, pool all predictions.
 
-    `trainer(train_examples, fold_seed)` returns opaque state that
-    `classifier(state, statement)` consumes.
+    `trainer(train_examples, fold_seed)` returns opaque state, and
+    `classifier(state, statements)` labels a whole held-out fold with it.
     """
     folds = stratified_folds(corpus, k, seed)
     predictions: list[tuple[str, str]] = []
@@ -132,9 +132,12 @@ def kfold_eval(
         test_set = set(test_idx)
         train_examples = [ex for i, ex in enumerate(corpus) if i not in test_set]
         state = trainer(train_examples, seed + fold_index)
-        for i in test_idx:
-            stmt, true_label = corpus[i]
-            predictions.append((true_label, classifier(state, stmt)))
+        predicted = classifier(state, [corpus[i][0] for i in test_idx])
+        if len(predicted) != len(test_idx):
+            raise ValueError(
+                f"classifier gave {len(predicted)} labels for {len(test_idx)} statements"
+            )
+        predictions += [(corpus[i][1], label) for i, label in zip(test_idx, predicted)]
     return metrics_from_predictions(predictions)
 
 

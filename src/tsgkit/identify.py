@@ -9,15 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import Statement
-from .siamese import (
-    DENSE_DIM,
-    Hyper,
-    SiameseModel,
-    embed_batch,
-    sample_pairs,
-    similarity_from_embeddings,
-    train,
-)
+from .siamese import DENSE_DIM, Hyper, SiameseModel, embed_batch, sample_pairs, train
 from .vectorize import IndexSequence, Vocabulary, build_vocabulary, encode
 
 class EmptyClass(ValueError):
@@ -41,9 +33,15 @@ class Prototype:
 
 @dataclass(frozen=True)
 class Classification:
+    """The winning label and its similarity, every class's similarity, and
+    the best other class with the winner's lead over it (`None` and 0.0
+    when there is only one class)."""
+
     label: str
     similarity: float
     per_class: dict[str, float]
+    runner_up: str | None
+    margin: float
 
 
 def compute_prototypes(
@@ -79,19 +77,45 @@ def fit(
     return vocab, model, compute_prototypes(model, support)
 
 
+def classify_batch(
+    model: SiameseModel, protos: list[Prototype], xs: list[IndexSequence]
+) -> list[Classification]:
+    """Label of each row's L1-nearest prototype, from one embedding pass.
+
+    Similarity is exp(-L1).  Ties go to the lexicographically smallest
+    class, for the winner and the runner-up alike.  An empty `xs` gives
+    `[]` without looking at `protos`.
+    """
+    if not xs:
+        return []
+    if not protos:
+        raise NoPrototypes("need at least one prototype")
+    # Label order; a repeated label keeps its last prototype.
+    by_label = {p.label: p.vector for p in sorted(protos, key=lambda p: p.label)}
+    labels = list(by_label)
+    centers = np.stack(list(by_label.values()))
+    ex = embed_batch(model, xs)
+    sims = np.exp(-np.abs(ex[:, None, :] - centers[None, :, :]).sum(axis=2))
+    # argmax keeps the first maximum, so ties go to the smallest label.
+    best = sims.argmax(axis=1)
+    if len(labels) > 1:
+        others = sims.copy()
+        others[np.arange(len(xs)), best] = -np.inf
+        second = others.argmax(axis=1).tolist()
+    else:
+        second = [None] * len(xs)
+    out = []
+    for row, b, r in zip(sims.tolist(), best.tolist(), second):
+        runner_up, margin = (None, 0.0) if r is None else (labels[r], row[b] - row[r])
+        out.append(Classification(labels[b], row[b], dict(zip(labels, row)), runner_up, margin))
+    return out
+
+
 def classify(
     model: SiameseModel, protos: list[Prototype], x: IndexSequence
 ) -> Classification:
-    """Label of the L1-nearest prototype; similarity is exp(-L1)."""
-    if not protos:
-        raise NoPrototypes("need at least one prototype")
-    ex = embed_batch(model, [x])[0]
-    per_class: dict[str, float] = {}
-    for p in sorted(protos, key=lambda p: p.label):
-        per_class[p.label] = similarity_from_embeddings(ex, p.vector)
-    # max keeps the first maximum: ties go to the lexicographically smallest class.
-    best = max(sorted(per_class), key=per_class.get)
-    return Classification(best, per_class[best], per_class)
+    """`classify_batch` of the single row `x`."""
+    return classify_batch(model, protos, [x])[0]
 
 
 def save_prototypes(protos: list[Prototype], path: str) -> None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .clauses import Lexicon
 from .extract import ParsedComponent, ParserRegistry, extract
-from .identify import Prototype, classify
+from .identify import Prototype, classify_batch
 from .ingest import RawDocument, Warning_, clean_document, segment
 from .siamese import SiameseModel
 from .vectorize import Vocabulary, encode
@@ -88,8 +88,9 @@ def schematize(
     result = SchematizedTSG(doc.source_name)
     cleaned = clean_document(doc)
     statements = segment(cleaned, warnings=result.warnings)
-    for stmt in statements:
-        cls = classify(model, protos, encode(stmt, vocab, model.hyper.max_len))
+    max_len = model.hyper.max_len
+    classes = classify_batch(model, protos, [encode(s, vocab, max_len) for s in statements])
+    for stmt, cls in zip(statements, classes):
         parsed = extract(stmt, cls.label, registry, lexicon, warnings=result.warnings)
         result.entries.append(
             Entry(

@@ -73,6 +73,14 @@ def test_train_then_classify(tmp_path, capsys):
     capsys.readouterr()
     assert run("--config", cfg, "--quiet", "classify", "T9 | where Z > 4 | count") == 0
     assert capsys.readouterr().out.strip() == "kusto"
+    assert run("--config", cfg, "classify", "T9 | where Z > 4 | count") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "kusto"
+    runner_up, margin = lines[1].split("runner-up ")[1].split(", margin ")
+    sims = {label: float(sim) for label, sim in (ln.split() for ln in lines[2:])}
+    assert set(sims) == {"kusto", "natural_language", "powershell"}
+    assert runner_up == max(sorted(set(sims) - {"kusto"}), key=sims.get)
+    assert abs(float(margin) - (sims["kusto"] - sims[runner_up])) <= 2e-6
 
 
 def test_truncated_model_is_input_error(tmp_path, capsys):

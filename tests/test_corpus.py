@@ -1,6 +1,10 @@
 import collections
 import json
 
+import numpy as np
+import pytest
+
+from tsgkit import corpusgen
 from tsgkit.config import data_path
 from tsgkit.corpusgen import CLASSES, generate_corpus
 from tsgkit.identify import classify
@@ -26,6 +30,41 @@ def test_corpus_class_counts():
 def test_generator_is_deterministic():
     assert generate_corpus(seed=7) == generate_corpus(seed=7)
     assert generate_corpus(seed=7) != generate_corpus(seed=8)
+
+
+def _reference_generate_corpus(rng, per_class):
+    """The one-draw-per-attempt algorithm that `generate_corpus` must match."""
+    rows = []
+    for label in CLASSES:
+        seen = list(corpusgen.FIXED.get(label, ()))
+        gen = corpusgen._GENERATORS[label]
+        attempts = 0
+        while len(seen) < per_class and attempts < per_class * 60:
+            candidate = gen(rng)
+            attempts += 1
+            if candidate not in seen:
+                seen.append(candidate)
+        while len(seen) < per_class:
+            seen.append(gen(rng))
+        rows.extend((text, label) for text in seen[:per_class])
+    return rows
+
+
+@pytest.mark.parametrize("per_class", [0, 1, 2, 3, 5, 12, 13, 14, 20, 40, 60, 120])
+def test_generate_corpus_matches_reference_rows_and_stream(per_class, monkeypatch):
+    made = []
+
+    def recording_default_rng(seed):
+        made.append(np.random.Generator(np.random.PCG64(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(corpusgen.np.random, "default_rng", recording_default_rng)
+    # The large sizes cost seconds per seed in the reference.
+    for seed in range(30 if per_class <= 40 else 10):
+        rows = generate_corpus(seed, per_class)
+        ref_rng = np.random.Generator(np.random.PCG64(seed))
+        assert rows == _reference_generate_corpus(ref_rng, per_class), seed
+        assert made[-1].bit_generator.state == ref_rng.bit_generator.state, seed
 
 
 EXEMPLARS = [

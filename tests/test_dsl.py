@@ -21,6 +21,7 @@ from tsgkit.dsl import (
     program_key,
     serialize,
 )
+from tsgkit.synthesis import synthesize
 
 ALPHA = CLASS_BY_NAME["Alpha"]
 DOLLAR_WORD = CLASS_BY_NAME["DollarWord"]
@@ -197,6 +198,55 @@ def test_parse_error_carries_position():
         assert err.position > 0
     else:
         pytest.fail("expected ParseError")
+
+
+@pytest.mark.parametrize(
+    "bad,position",
+    [
+        ("", 0),
+        ("sub(pos(Alpha,eps,1)", 20),
+        ('switch(default(const("x")))', 27),
+        ("frob(1)", 4),
+        ("sub(pos(NotAClass,eps,1),abs(0))", 17),
+        ('const("unterminated)', 20),
+        ("sub(abs(1),abs(2)) trailing", 19),
+        ("sub( abs( -3 ),abs(  - 2))", 21),
+        ("  ", 2),
+        ('switch(case(startswith(Alpha),const("a")),default(sub(abs(1),))', 61),
+        ("sub(abs(1),abs(2))+  ", 21),
+    ],
+)
+def test_parse_error_offsets(bad, position):
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert err.value.position == position
+
+
+class _UnsliceableText(str):
+    """Program text that fails the test if the parser copies a slice of it."""
+
+    def __getitem__(self, key):
+        assert not isinstance(key, slice), f"parser sliced the program text: {key}"
+        return str.__getitem__(self, key)
+
+
+def test_long_program_parses_without_copying_the_rest():
+    atoms = [
+        f'const("{i}")' if i % 2 else f"sub(pos(Alpha,eps,{i % 7 + 1}),abs(-1))"
+        for i in range(4000)
+    ]
+    text = "+".join(atoms)
+    prog = parse(_UnsliceableText(text))
+    assert len(prog.default.atoms) == 4000
+    assert serialize(prog) == text
+
+
+def test_bundled_spec_programs_reserialize_to_the_same_bytes(bundled_specs):
+    for name, spec in sorted(bundled_specs.items()):
+        text = serialize(synthesize(spec))
+        again = parse(text)
+        assert serialize(again) == text, name
+        assert parse(_UnsliceableText(text)) == again, name
 
 
 # --- ranking -----------------------------------------------------------------

@@ -9,12 +9,15 @@ from tsgkit.identify import (
     NoPrototypes,
     Prototype,
     classify,
+    classify_batch,
     compute_prototypes,
     knn_bow_classify,
     load_prototypes,
     save_prototypes,
 )
+from tsgkit.ingest import clean_document, segment
 from tsgkit.siamese import Hyper, embed_batch, init_model
+from tsgkit.vectorize import encode
 
 
 def seq(*indices, max_len=8):
@@ -110,6 +113,65 @@ def test_weighted_sum_oracle_agrees_on_separated_support(model):
             )
         oracle = max(sorted(votes), key=lambda c: votes[c])
         assert classify(model, protos, x).label == oracle
+
+
+def test_runner_up_is_best_other_class_and_margin_its_gap(model):
+    protos = compute_prototypes(
+        model, {"a": [seq(2), seq(3)], "b": [seq(9), seq(10)], "c": [seq(4, 7)]}
+    )
+    for x in [seq(2), seq(9, 9), seq(4, 7, 2), seq(11)]:
+        got = classify(model, protos, x)
+        others = {c: s for c, s in got.per_class.items() if c != got.label}
+        assert got.runner_up == max(sorted(others), key=others.get)
+        assert got.margin == got.similarity - got.per_class[got.runner_up]
+        assert got.margin >= 0.0
+
+
+def test_single_prototype_has_no_runner_up(model):
+    got = classify(model, compute_prototypes(model, {"only": [seq(2)]}), seq(5))
+    assert (got.label, got.runner_up, got.margin) == ("only", None, 0.0)
+
+
+def test_batch_tie_breaks_lexicographically(model):
+    x, y = seq(2, 3), seq(7, 8)
+    vec = embed_batch(model, [x])[0]
+    protos = [Prototype("zeta", vec.copy(), 1), Prototype("alpha", vec.copy(), 1)]
+    for got in classify_batch(model, protos, [x, y, x]):
+        assert (got.label, got.runner_up, got.margin) == ("alpha", "zeta", 0.0)
+
+
+def test_empty_batch_needs_no_prototypes(model):
+    assert classify_batch(model, [], []) == []
+    with pytest.raises(NoPrototypes):
+        classify_batch(model, [], [seq(2)])
+
+
+def test_batch_of_one_is_classify_over_a_guide(trained, sample_doc):
+    model, vocab, protos = trained
+    statements = segment(clean_document(sample_doc))
+    xs = [encode(s, vocab, model.hyper.max_len) for s in statements]
+    assert len(xs) > 5
+    for x in xs:
+        one = classify(model, protos, x)
+        got = classify_batch(model, protos, [x])[0]
+        assert got.label == one.label
+        assert got.similarity == one.similarity
+        assert got.per_class == one.per_class
+        assert got.runner_up == one.runner_up
+        assert got.margin == one.margin
+
+
+def test_batched_labels_equal_one_row_labels_over_corpus(trained, corpus):
+    # A batched forward pass may sum in another order than a one-row pass,
+    # so similarities agree to float64 rounding, not bit for bit.
+    model, vocab, protos = trained
+    xs = [encode(s, vocab, model.hyper.max_len) for s, _ in corpus]
+    for x, got in zip(xs, classify_batch(model, protos, xs)):
+        one = classify(model, protos, x)
+        assert (got.label, got.runner_up) == (one.label, one.runner_up)
+        for label, sim in one.per_class.items():
+            assert abs(got.per_class[label] - sim) <= 1e-12
+        assert abs(got.margin - one.margin) <= 1e-12
 
 
 def test_prototype_file_round_trip(model, tmp_path):

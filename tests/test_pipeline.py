@@ -44,6 +44,24 @@ def test_sample_document_schematizes_fully(schema):
     assert sum(e.automatable for e in schema.entries) == 7
 
 
+def test_schematize_embeds_once_per_document(sample_doc, trained, registry, monkeypatch):
+    import tsgkit.identify
+
+    model, vocab, protos = trained
+    calls = []
+    real = tsgkit.identify.embed_batch
+
+    def counting_embed_batch(m, xs):
+        calls.append(len(xs))
+        return real(m, xs)
+
+    monkeypatch.setattr(tsgkit.identify, "embed_batch", counting_embed_batch)
+    out = schematize(sample_doc, model, vocab, protos, registry)
+    assert calls == [len(out.entries)]
+    assert schematize(RawDocument("", "empty.md"), model, vocab, protos, registry).entries == []
+    assert calls == [len(out.entries)]
+
+
 def test_entries_ordered_by_line(schema):
     starts = [e.line_start for e in schema.entries]
     assert starts == sorted(starts)
