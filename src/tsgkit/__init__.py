@@ -45,10 +45,8 @@ from .pipeline import SchematizedTSG, Workflow, emit_workflow, schematize
 from .siamese import (
     Hyper,
     SiameseModel,
-    TrainingPair,
     embed_batch,
     pair_loss,
-    pair_similarity,
     sample_pairs,
     train,
 )
@@ -60,6 +58,6 @@ from .synthesis import (
     load_spec,
     synthesize,
 )
-from .vectorize import IndexSequence, Vocabulary, bow, build_vocabulary, encode
+from .vectorize import Vocabulary, bow, build_vocabulary, encode
 
 __version__ = "0.1.0"

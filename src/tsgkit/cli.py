@@ -22,11 +22,11 @@ from .extract import (
     load_registry,
     save_registry,
 )
-from .identify import classify, classify_batch, fit, load_prototypes, save_prototypes
+from .identify import classify, fit, load_prototypes, save_prototypes
 from .ingest import RawDocument, Statement, tokenize
 from .pipeline import emit_workflow, schematize, schematized_to_json, workflow_to_json
 from .siamese import Hyper, load_model, save_model
-from .vectorize import build_vocabulary, encode, load_vocabulary, save_vocabulary
+from .vectorize import encode, load_vocabulary, save_vocabulary
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -121,8 +121,9 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     seed = _require_seed(cfg)
     _check_fit_counts(cfg)
+    hyper = _hyper(cfg, seed)
     corpus = _read_corpus(args.corpus)
-    vocab, model, protos = fit(corpus, _hyper(cfg, seed), cfg.n_pairs, cfg.min_freq)
+    vocab, model, protos = fit(corpus, hyper, cfg.n_pairs, cfg.min_freq)
     os.makedirs(os.path.dirname(cfg.model) or ".", exist_ok=True)
     save_vocabulary(vocab, cfg.vocab)
     save_model(model, cfg.model)
@@ -238,9 +239,12 @@ def cmd_eval(args) -> int:
     if cfg.knn_k < 1:
         raise ConfigError("knn_k must be at least 1")
     _check_fit_counts(cfg)
+    hyper = _hyper(cfg, seed)
     corpus = _read_corpus(args.corpus)
     try:
-        results = run_comparison(corpus, args.k, seed, cfg)
+        results = evalharness.run_comparison(
+            corpus, args.k, hyper, cfg.n_pairs, cfg.min_freq, cfg.knn_k
+        )
     except evalharness.ClassTooSmall as exc:
         raise InputError(str(exc)) from exc
     for name, metrics in results.items():
@@ -250,33 +254,6 @@ def cmd_eval(args) -> int:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(evalharness.metrics_to_json(results))
     return EXIT_OK
-
-
-def run_comparison(corpus, k: int, seed: int, cfg: Config):
-    """SiameseNet vs KNN bag-of-words on identical stratified folds."""
-    from .identify import knn_bow_classify
-    from .vectorize import bow
-
-    def siamese_trainer(train_examples, fold_seed):
-        return fit(train_examples, _hyper(cfg, fold_seed), cfg.n_pairs, cfg.min_freq)
-
-    def siamese_classifier(state, stmts):
-        vocab, model, protos = state
-        xs = [encode(s, vocab, cfg.max_len) for s in stmts]
-        return [c.label for c in classify_batch(model, protos, xs)]
-
-    def knn_trainer(train_examples, fold_seed):
-        vocab = build_vocabulary([s for s, _ in train_examples], cfg.min_freq)
-        return vocab, [(bow(s, vocab), label) for s, label in train_examples]
-
-    def knn_classifier(state, stmts):
-        vocab, rows = state
-        return [knn_bow_classify(rows, bow(s, vocab), cfg.knn_k) for s in stmts]
-
-    return {
-        "siamese": evalharness.kfold_eval(corpus, k, seed, siamese_trainer, siamese_classifier),
-        "knn_bow": evalharness.kfold_eval(corpus, k, seed, knn_trainer, knn_classifier),
-    }
 
 
 def main(argv: list[str] | None = None) -> int:

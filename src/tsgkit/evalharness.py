@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .config import read_jsonl
 from .extract import ParsedComponent, ParserRegistry, extract
+from .identify import classify_batch, fit, knn_bow_classify
 from .ingest import Statement, tokenize
+from .siamese import Hyper
 from .synthesis import ExampleSpec
+from .vectorize import bow, build_vocabulary, encode
 
 
 class ClassTooSmall(ValueError):
@@ -118,27 +122,50 @@ def kfold_eval(
     corpus: list[tuple[Statement, str]],
     k: int,
     seed: int,
-    trainer: Callable[[list[tuple[Statement, str]], int], object],
-    classifier: Callable[[object, list[Statement]], list[str]],
+    predict: Callable[[list[tuple[Statement, str]], int, list[Statement]], list[str]],
 ) -> Metrics:
-    """Train on k-1 folds, classify the held-out fold, pool all predictions.
+    """Train on k-1 folds, label the held-out fold, pool all predictions.
 
-    `trainer(train_examples, fold_seed)` returns opaque state, and
-    `classifier(state, statements)` labels a whole held-out fold with it.
+    `predict(train_examples, fold_seed, statements)` fits on the training
+    folds and returns one label per held-out statement; fold i gets the
+    seed `seed + i`.
     """
     folds = stratified_folds(corpus, k, seed)
     predictions: list[tuple[str, str]] = []
     for fold_index, test_idx in enumerate(folds):
         test_set = set(test_idx)
         train_examples = [ex for i, ex in enumerate(corpus) if i not in test_set]
-        state = trainer(train_examples, seed + fold_index)
-        predicted = classifier(state, [corpus[i][0] for i in test_idx])
+        predicted = predict(train_examples, seed + fold_index, [corpus[i][0] for i in test_idx])
         if len(predicted) != len(test_idx):
             raise ValueError(
-                f"classifier gave {len(predicted)} labels for {len(test_idx)} statements"
+                f"predict gave {len(predicted)} labels for {len(test_idx)} statements"
             )
         predictions += [(corpus[i][1], label) for i, label in zip(test_idx, predicted)]
     return metrics_from_predictions(predictions)
+
+
+def _siamese_labels(hyper, n_pairs, min_freq, train_examples, fold_seed, statements):
+    fold_hyper = replace(hyper, seed=fold_seed)
+    vocab, model, protos = fit(train_examples, fold_hyper, n_pairs, min_freq)
+    xs = [encode(s, vocab, hyper.max_len) for s in statements]
+    return [c.label for c in classify_batch(model, protos, xs)]
+
+
+def _knn_bow_labels(min_freq, knn_k, train_examples, fold_seed, statements):
+    vocab = build_vocabulary([s for s, _ in train_examples], min_freq)
+    rows = [(bow(s, vocab), label) for s, label in train_examples]
+    return [knn_bow_classify(rows, bow(s, vocab), knn_k) for s in statements]
+
+
+def run_comparison(corpus, k: int, hyper: Hyper, n_pairs: int, min_freq: int, knn_k: int):
+    """SiameseNet vs KNN bag-of-words on identical stratified folds, drawn
+    with `hyper.seed`; each siamese fold fits `hyper` at its fold's seed."""
+    siamese = functools.partial(_siamese_labels, hyper, n_pairs, min_freq)
+    knn_bow = functools.partial(_knn_bow_labels, min_freq, knn_k)
+    return {
+        "siamese": kfold_eval(corpus, k, hyper.seed, siamese),
+        "knn_bow": kfold_eval(corpus, k, hyper.seed, knn_bow),
+    }
 
 
 def format_metrics_table(name: str, m: Metrics) -> str:

@@ -9,8 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import Statement
-from .siamese import DENSE_DIM, Hyper, SiameseModel, embed_batch, sample_pairs, train
-from .vectorize import IndexSequence, Vocabulary, build_vocabulary, encode
+from .siamese import (
+    DENSE_DIM, Hyper, SiameseModel, embed_batch, sample_pairs, similarity_from_embeddings, train,
+)
+from .vectorize import Vocabulary, build_vocabulary, encode
 
 class EmptyClass(ValueError):
     pass
@@ -45,7 +47,7 @@ class Classification:
 
 
 def compute_prototypes(
-    model: SiameseModel, support: dict[str, list[IndexSequence]]
+    model: SiameseModel, support: dict[str, list[tuple[int, ...]]]
 ) -> list[Prototype]:
     """Per class, the coordinate-wise mean of the embedded support examples."""
     protos = []
@@ -71,14 +73,14 @@ def fit(
     encoded = [(encode(s, vocab, hyper.max_len), label) for s, label in examples]
     pairs = sample_pairs(encoded, hyper.seed, n_pairs)
     model = train(pairs, hyper, vocab.size)
-    support: dict[str, list[IndexSequence]] = {}
+    support: dict[str, list[tuple[int, ...]]] = {}
     for x, label in encoded:
         support.setdefault(label, []).append(x)
     return vocab, model, compute_prototypes(model, support)
 
 
 def classify_batch(
-    model: SiameseModel, protos: list[Prototype], xs: list[IndexSequence]
+    model: SiameseModel, protos: list[Prototype], xs: list[tuple[int, ...]]
 ) -> list[Classification]:
     """Label of each row's L1-nearest prototype, from one embedding pass.
 
@@ -95,7 +97,7 @@ def classify_batch(
     labels = list(by_label)
     centers = np.stack(list(by_label.values()))
     ex = embed_batch(model, xs)
-    sims = np.exp(-np.abs(ex[:, None, :] - centers[None, :, :]).sum(axis=2))
+    sims = similarity_from_embeddings(ex[:, None, :], centers[None, :, :])
     # argmax keeps the first maximum, so ties go to the smallest label.
     best = sims.argmax(axis=1)
     if len(labels) > 1:
@@ -112,7 +114,7 @@ def classify_batch(
 
 
 def classify(
-    model: SiameseModel, protos: list[Prototype], x: IndexSequence
+    model: SiameseModel, protos: list[Prototype], x: tuple[int, ...]
 ) -> Classification:
     """`classify_batch` of the single row `x`."""
     return classify_batch(model, protos, [x])[0]

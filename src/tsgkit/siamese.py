@@ -37,13 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .vectorize import IndexSequence
-
 EMBED_DIM = 100
 CONV_FILTERS = 64
 KERNEL_WIDTH = 3
 DENSE_DIM = 128
 LOSS_EPS = 1e-7
+# Widest index row a model takes: 16 times the default `Hyper.max_len`.
+MAX_LEN_LIMIT = 1024
 
 MAGIC = b"TSGSIAM1"
 FORMAT_VERSION = 1
@@ -78,6 +78,8 @@ class Hyper:
         # Two halvings of the position axis need at least 4 positions.
         if self.max_len < 4:
             raise ValueError("max_len must be at least 4")
+        if self.max_len > MAX_LEN_LIMIT:
+            raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT}")
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -135,7 +137,7 @@ def init_model(vocab_size: int, hyper: Hyper) -> SiameseModel:
     return SiameseModel(flat, hyper, vocab_size)
 
 
-def _as_batch(xs: list[IndexSequence]) -> np.ndarray:
+def _as_batch(xs: list[tuple[int, ...]]) -> np.ndarray:
     return np.array(xs, dtype=np.int64)
 
 
@@ -378,7 +380,7 @@ def _backward_batch(
     return grads
 
 
-def embed_batch(model: SiameseModel, xs: list[IndexSequence]) -> np.ndarray:
+def embed_batch(model: SiameseModel, xs: list[tuple[int, ...]]) -> np.ndarray:
     """[len(xs), DENSE_DIM] embeddings; an empty list gives an empty array."""
     if not xs:
         return np.empty((0, DENSE_DIM))
@@ -386,15 +388,10 @@ def embed_batch(model: SiameseModel, xs: list[IndexSequence]) -> np.ndarray:
     return _forward_batch(model, xb, _Workspace(*xb.shape, model.vocab_size))
 
 
-def similarity_from_embeddings(ea: np.ndarray, eb: np.ndarray) -> float:
-    """exp(-L1 distance) between two embeddings; in (0, 1]."""
-    return float(np.exp(-np.abs(ea - eb).sum()))
-
-
-def pair_similarity(model: SiameseModel, a: IndexSequence, b: IndexSequence) -> float:
-    """Similarity of the twin embeddings of a and b, each embedded on its own."""
-    ea, eb = (embed_batch(model, [x])[0] for x in (a, b))
-    return similarity_from_embeddings(ea, eb)
+def similarity_from_embeddings(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
+    """exp(-L1 distance) over the last axis of embeddings that broadcast
+    together; in (0, 1].  Two single embeddings give a scalar."""
+    return np.exp(-np.abs(ea - eb).sum(axis=-1))
 
 
 def pair_loss(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -403,42 +400,35 @@ def pair_loss(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    a: IndexSequence
-    b: IndexSequence
-    label: int
-
-
 def sample_pairs(
-    examples: list[tuple[IndexSequence, str]], seed: int, n_pairs: int
-) -> list[TrainingPair]:
-    """Balanced positive/negative pairs (within one), uniformly sampled."""
-    by_class: dict[str, list[IndexSequence]] = {}
-    for x, label in examples:
-        by_class.setdefault(label, []).append(x)
+    examples: list[tuple[tuple[int, ...], str]], seed: int, n_pairs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Balanced positive/negative pairs (within one), uniformly sampled, as
+    `(a, b, y)`: int64 [n, max_len] index rows of each side and float64 [n]
+    labels, the positives (1.0) first."""
+    by_class: dict[str, list[int]] = {}
+    for row, (_, label) in enumerate(examples):
+        by_class.setdefault(label, []).append(row)
     classes = sorted(by_class)
     if len(classes) < 2:
         raise SingleClassCorpus("pair sampling needs at least two classes")
     rng = np.random.default_rng(seed)
     n_pos = (n_pairs + 1) // 2
-    pairs: list[TrainingPair] = []
+    rows: list[tuple[int, int]] = []
     for _ in range(n_pos):
-        c = classes[rng.integers(len(classes))]
-        members = by_class[c]
+        members = by_class[classes[rng.integers(len(classes))]]
         if len(members) == 1:
             i = j = 0
         else:
             i, j = rng.choice(len(members), size=2, replace=False)
-        pairs.append(TrainingPair(members[i], members[j], 1))
+        rows.append((members[i], members[j]))
     for _ in range(n_pairs - n_pos):
         ca, cb = rng.choice(len(classes), size=2, replace=False)
-        a = by_class[classes[ca]]
-        b = by_class[classes[cb]]
-        pairs.append(
-            TrainingPair(a[rng.integers(len(a))], b[rng.integers(len(b))], 0)
-        )
-    return pairs
+        a, b = by_class[classes[ca]], by_class[classes[cb]]
+        rows.append((a[rng.integers(len(a))], b[rng.integers(len(b))]))
+    xs = _as_batch([x for x, _ in examples])
+    ia, ib = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    return xs[ia], xs[ib], (np.arange(len(rows)) < n_pos).astype(np.float64)
 
 
 def _pair_grads_and_loss(model: SiameseModel, ab, bb, yb, ws: _Workspace | None = None):
@@ -528,27 +518,27 @@ def _one_blas_thread():
 
 
 def train(
-    pairs: list[TrainingPair],
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     hyper: Hyper,
     vocab_size: int,
 ) -> SiameseModel:
-    """Adam-trained model; identical (seed, hyper, pairs) give identical bytes.
+    """Adam-trained model on the `(a, b, y)` arrays of `sample_pairs`;
+    identical (seed, hyper, pairs) give identical bytes.
 
     Training runs with numpy's bundled OpenBLAS pinned to one thread, so
     the bytes do not depend on the BLAS thread count; see `_one_blas_thread`
     for when no pin is possible and for the process-wide side effect.
     """
-    if not any(p.label == 1 for p in pairs):
+    a_all, b_all, y_all = pairs
+    if not (y_all == 1).any():
         raise NoPositivePairs("training needs at least one positive pair")
-    if not any(p.label == 0 for p in pairs):
+    if not (y_all == 0).any():
         raise NoNegativePairs("training needs at least one negative pair")
     model = init_model(vocab_size, hyper)
     rng = np.random.default_rng(hyper.seed + 1)
-    a_all = _as_batch([p.a for p in pairs])
-    b_all = _as_batch([p.b for p in pairs])
-    y_all = np.array([p.label for p in pairs], dtype=np.float64)
+    n_pairs = len(y_all)
     ws = _Workspace(
-        2 * min(hyper.batch_size, len(pairs)), a_all.shape[1], vocab_size, backward=True
+        2 * min(hyper.batch_size, n_pairs), a_all.shape[1], vocab_size, backward=True
     )
 
     m = np.zeros_like(model.flat)
@@ -556,15 +546,15 @@ def train(
     step = 0
     with _one_blas_thread():
         for _ in range(hyper.epochs):
-            order = rng.permutation(len(pairs))
+            order = rng.permutation(n_pairs)
             epoch_loss = 0.0
-            for at in range(0, len(pairs), hyper.batch_size):
+            for at in range(0, n_pairs, hyper.batch_size):
                 sel = order[at : at + hyper.batch_size]
                 _, losses = _pair_grads_and_loss(model, a_all[sel], b_all[sel], y_all[sel], ws)
                 epoch_loss += float(losses.sum())
                 step += 1
                 _adam_step(model, m, v, ws, len(sel), step)
-            model.loss_trace.append(epoch_loss / len(pairs))
+            model.loss_trace.append(epoch_loss / n_pairs)
     return model
 
 

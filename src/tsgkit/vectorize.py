@@ -67,11 +67,7 @@ def load_vocabulary(path: str) -> Vocabulary:
     return Vocabulary(mapping)
 
 
-# A statement's token indices, padded with PAD to a fixed length.
-IndexSequence = tuple[int, ...]
-
-
-def encode(stmt: Statement, vocab: Vocabulary, max_len: int = 64) -> IndexSequence:
+def encode(stmt: Statement, vocab: Vocabulary, max_len: int = 64) -> tuple[int, ...]:
     """Map the first max_len tokens to indices; pad the tail with 0."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")

@@ -11,9 +11,10 @@ import pytest
 
 from conftest import ACC_HYPER, ACC_N_PAIRS, ACC_SEED, read_golden
 from oracle_enum import oracle_best_single
-from tsgkit.cli import main, run_comparison
-from tsgkit.config import Config, data_path
+from tsgkit.cli import main
+from tsgkit.config import data_path
 from tsgkit.dsl import EvalFailure, eval_program, serialize
+from tsgkit.evalharness import run_comparison
 from tsgkit.extract import extract, extract_repeating
 from tsgkit.ingest import Statement, clean_document, tokenize
 from tsgkit.pipeline import emit_workflow, schematize, schematized_to_json, workflow_to_json
@@ -21,8 +22,9 @@ from tsgkit.siamese import (
     Hyper,
     _as_batch,
     _pair_grads_and_loss,
+    embed_batch,
     init_model,
-    pair_similarity,
+    similarity_from_embeddings,
 )
 from tsgkit.synthesis import synthesize
 
@@ -121,11 +123,12 @@ def test_c04_similarity_properties():
         model = init_model(10, Hyper(max_len=8, seed=int(rng.integers(1 << 30))))
         a = tuple(int(v) for v in rng.integers(0, 10, 8))
         b = tuple(int(v) for v in rng.integers(0, 10, 8))
-        pab = pair_similarity(model, a, b)
-        pba = pair_similarity(model, b, a)
+        ea, eb, ea2 = (embed_batch(model, [x])[0] for x in (a, b, a))
+        pab = similarity_from_embeddings(ea, eb)
+        pba = similarity_from_embeddings(eb, ea)
         assert abs(pab - pba) <= 1e-12
         assert 0.0 < pab <= 1.0
-        assert pair_similarity(model, a, a) == 1.0
+        assert similarity_from_embeddings(ea, ea2) == 1.0
         checked += 1
     ok("criterion 4 (similarity properties)", f"{checked} random model/input pairs")
 
@@ -169,7 +172,6 @@ def test_c05_gradient_check():
 
 def test_c06_prototype_oracle(trained, corpus):
     from tsgkit.identify import compute_prototypes
-    from tsgkit.siamese import embed_batch
     from tsgkit.vectorize import encode
 
     model, vocab, _ = trained
@@ -195,9 +197,8 @@ def test_c07_classifier_quality(corpus):
     assert len(per_class) == 7
     assert all(n >= 30 for n in per_class.values())
 
-    cfg = Config(max_len=ACC_HYPER.max_len, epochs=ACC_HYPER.epochs, n_pairs=ACC_N_PAIRS)
     t0 = time.perf_counter()
-    results = run_comparison(corpus, 5, ACC_SEED, cfg)
+    results = run_comparison(corpus, 5, ACC_HYPER, ACC_N_PAIRS, min_freq=1, knn_k=5)
     elapsed = time.perf_counter() - t0
     siamese = results["siamese"].accuracy
     knn = results["knn_bow"].accuracy

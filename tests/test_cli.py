@@ -180,6 +180,19 @@ def test_corrupt_artifact_line_is_input_error(tmp_path, capsys, artifacts, name,
     assert err.count(str(path)) == 1
 
 
+def test_model_header_max_len_above_limit_is_input_error(tmp_path, capsys, artifacts):
+    shutil.copytree(artifacts, tmp_path / "art")
+    cfg = config_file(tmp_path)
+    path = tmp_path / "art" / "model.bin"
+    blob = bytearray(path.read_bytes()[:-32])
+    # The header is the 8-byte magic, the format version (4 bytes), the
+    # vocabulary size (8 bytes), then max_len (8 bytes, little-endian).
+    blob[20:28] = (1025).to_bytes(8, "little")
+    path.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
+    assert run("--config", cfg, "classify", "anything") == 2
+    assert capsys.readouterr().err == "error: max_len must be at most 1024\n"
+
+
 def test_config_value_of_wrong_type_names_line(tmp_path, capsys):
     cfg = config_file(tmp_path, epochs="abc")
     assert run("--config", cfg, "--seed", "1", "train", tiny_corpus(tmp_path)) == 3
@@ -198,22 +211,48 @@ def test_out_of_range_bound_is_config_error(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith(f"config error: {key} must be at least")
 
 
+# The `fit` each command calls; `eval` fits its folds inside `evalharness`.
+FIT_SITES = {"train": "tsgkit.cli.fit", "eval": "tsgkit.evalharness.fit"}
+# Arguments after the corpus: the tiny corpus has 3 statements per class,
+# so `eval` needs 3 folds to get as far as a fit.
+AFTER_CORPUS = {"train": (), "eval": ("--k", "3")}
+
+
+def forbid_fit(monkeypatch, command):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr(FIT_SITES[command], no_fit)
+
+
+HYPER_CASES = {
+    "batch-zero": ("batch_size", "0", "batch_size must be at least 1"),
+    "batch-negative": ("batch_size", "-4", "batch_size must be at least 1"),
+    "epochs-zero": ("epochs", "0", "epochs must be at least 1"),
+    "lr-nan": ("learning_rate", "nan", "learning_rate must be a finite number at least 0"),
+    "lr-negative": ("learning_rate", "-0.1", "learning_rate must be a finite number at least 0"),
+    "max-len-3": ("max_len", "3", "max_len must be at least 4"),
+    "max-len-1025": ("max_len", "1025", "max_len must be at most 1024"),
+    "max-len-huge": ("max_len", "100000000000", "max_len must be at most 1024"),
+}
+
+
 @pytest.mark.parametrize(
-    "key, value, message",
+    "command, key, value, message",
     [
-        ("batch_size", "0", "batch_size must be at least 1"),
-        ("batch_size", "-4", "batch_size must be at least 1"),
-        ("epochs", "0", "epochs must be at least 1"),
-        ("learning_rate", "nan", "learning_rate must be a finite number at least 0"),
-        ("learning_rate", "-0.1", "learning_rate must be a finite number at least 0"),
-        ("max_len", "3", "max_len must be at least 4"),
+        pytest.param(command, *case, id=name if command == "train" else f"{name}-eval")
+        for command in ("train", "eval")
+        for name, case in HYPER_CASES.items()
     ],
-    ids=["batch-zero", "batch-negative", "epochs-zero", "lr-nan", "lr-negative", "max-len-3"],
 )
-def test_out_of_range_hyper_is_config_error(tmp_path, capsys, key, value, message):
+def test_out_of_range_hyper_is_config_error(
+    tmp_path, capsys, monkeypatch, command, key, value, message
+):
+    forbid_fit(monkeypatch, command)
     cfg = config_file(tmp_path)
     flag = "--" + key.replace("_", "-")
-    assert run("--config", cfg, "--seed", "1", flag, value, "train", tiny_corpus(tmp_path)) == 3
+    argv = [flag, value, command, tiny_corpus(tmp_path), *AFTER_CORPUS[command]]
+    assert run("--config", cfg, "--seed", "1", *argv) == 3
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "art").exists()
 
@@ -232,13 +271,11 @@ def test_out_of_range_hyper_is_config_error(tmp_path, capsys, key, value, messag
 def test_out_of_range_fit_count_is_config_error_before_any_fit(
     tmp_path, capsys, monkeypatch, command, key, value, message
 ):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a model was fitted")
-
-    monkeypatch.setattr("tsgkit.cli.fit", no_fit)
+    forbid_fit(monkeypatch, command)
     cfg = config_file(tmp_path)
     flag = "--" + key.replace("_", "-")
-    assert run("--config", cfg, "--seed", "1", flag, value, command, tiny_corpus(tmp_path)) == 3
+    argv = [flag, value, command, tiny_corpus(tmp_path), *AFTER_CORPUS[command]]
+    assert run("--config", cfg, "--seed", "1", *argv) == 3
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "art").exists()
 
@@ -318,13 +355,11 @@ def test_eval_k_larger_than_class_is_input_error(tmp_path):
 def test_eval_knn_k_below_one_is_config_error_before_any_fit(
     tmp_path, capsys, monkeypatch, knn_k
 ):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a fold was fitted")
-
-    monkeypatch.setattr("tsgkit.cli.fit", no_fit)
+    forbid_fit(monkeypatch, "eval")
     cfg = config_file(tmp_path)
     corpus = tiny_corpus(tmp_path)
-    assert run("--config", cfg, "--seed", "1", "--knn-k", knn_k, "eval", corpus) == 3
+    argv = ["--knn-k", knn_k, "eval", corpus, *AFTER_CORPUS["eval"]]
+    assert run("--config", cfg, "--seed", "1", *argv) == 3
     assert "knn_k must be at least 1" in capsys.readouterr().err
 
 

@@ -62,44 +62,41 @@ def test_class_too_small():
 # --- kfold metrics -----------------------------------------------------------
 
 
-def perfect_trainer(train_examples, fold_seed):
-    return {s.raw: label for s, label in train_examples}
-
-
 def test_perfect_classifier_scores_one():
     corpus = tiny_corpus()
     truth = {s.raw: label for s, label in corpus}
-    metrics = kfold_eval(
-        corpus, 3, 0, perfect_trainer, lambda st, stmts: [truth[s.raw] for s in stmts]
-    )
+    metrics = kfold_eval(corpus, 3, 0, lambda train, seed, stmts: [truth[s.raw] for s in stmts])
     assert metrics.accuracy == 1.0
     assert all(cm.f1 == 1.0 for cm in metrics.per_class.values())
 
 
 def test_constant_classifier_accuracy_is_class_share():
     corpus = tiny_corpus(per_class=6, classes=("a", "b", "c"))
-    metrics = kfold_eval(corpus, 3, 0, perfect_trainer, lambda st, stmts: ["a"] * len(stmts))
+    metrics = kfold_eval(corpus, 3, 0, lambda train, seed, stmts: ["a"] * len(stmts))
     assert metrics.accuracy == pytest.approx(1 / 3)
     assert metrics.per_class["a"].recall == 1.0
 
 
 def test_classifier_sees_each_held_out_fold_once():
     corpus = tiny_corpus(per_class=6, classes=("a", "b", "c"))
-    batches = []
+    batches, seeds = [], []
 
-    def classifier(state, stmts):
+    def predict(train_examples, fold_seed, stmts):
         batches.append([s.raw for s in stmts])
-        return [state.get(s.raw, "a") for s in stmts]
+        seeds.append(fold_seed)
+        seen = {s.raw: label for s, label in train_examples}
+        return [seen.get(s.raw, "a") for s in stmts]
 
-    kfold_eval(corpus, 3, 0, perfect_trainer, classifier)
+    kfold_eval(corpus, 3, 0, predict)
     folds = stratified_folds(corpus, 3, 0)
     assert batches == [[corpus[i][0].raw for i in fold] for fold in folds]
+    assert seeds == [0, 1, 2]
 
 
 def test_classifier_must_label_every_statement():
     corpus = tiny_corpus(per_class=6, classes=("a", "b", "c"))
     with pytest.raises(ValueError, match="labels"):
-        kfold_eval(corpus, 3, 0, perfect_trainer, lambda st, stmts: ["a"])
+        kfold_eval(corpus, 3, 0, lambda train, seed, stmts: ["a"])
 
 
 def test_metrics_match_confusion_matrix_oracle():

@@ -15,13 +15,13 @@ from tsgkit.config import data_path
 from tsgkit.siamese import (
     DENSE_DIM,
     MAGIC,
+    MAX_LEN_LIMIT,
     Hyper,
     IndexOutOfVocab,
     NoNegativePairs,
     NoPositivePairs,
     SingleClassCorpus,
     SiameseModel,
-    TrainingPair,
     _adam_step,
     _as_batch,
     _forward_batch,
@@ -33,9 +33,9 @@ from tsgkit.siamese import (
     init_model,
     load_model,
     pair_loss,
-    pair_similarity,
     sample_pairs,
     save_model,
+    similarity_from_embeddings,
     train,
 )
 
@@ -159,15 +159,14 @@ def test_pool_tie_routes_gradient_to_first_element():
 
 def test_self_similarity_is_exactly_one(mini_model):
     x = seq(4, 4, 2, 9)
-    assert pair_similarity(mini_model, x, x) == 1.0
+    e1, e2 = (embed_batch(mini_model, [x])[0] for _ in range(2))
+    assert similarity_from_embeddings(e1, e2) == 1.0
 
 
 def test_known_l1_mass_closed_form():
     ea = np.zeros(128)
     eb = np.zeros(128)
     eb[:3] = 1.0  # total L1 mass 3
-    from tsgkit.siamese import similarity_from_embeddings
-
     assert math.isclose(similarity_from_embeddings(ea, eb), math.exp(-3), rel_tol=1e-12)
 
 
@@ -176,7 +175,7 @@ def test_similarity_matches_independent_sum(mini_model):
     ea = embed_batch(mini_model, [a])[0]
     eb = embed_batch(mini_model, [b])[0]
     expected = math.exp(-math.fsum(abs(float(x) - float(y)) for x, y in zip(ea, eb)))
-    assert math.isclose(pair_similarity(mini_model, a, b), expected, rel_tol=1e-12)
+    assert math.isclose(similarity_from_embeddings(ea, eb), expected, rel_tol=1e-12)
 
 
 def test_pair_loss_values():
@@ -195,11 +194,12 @@ def test_similarity_properties_randomized():
         model = init_model(10, Hyper(max_len=8, seed=int(rng.integers(1 << 30))))
         a = seq(*rng.integers(0, 10, 8))
         b = seq(*rng.integers(0, 10, 8))
-        pab = pair_similarity(model, a, b)
-        pba = pair_similarity(model, b, a)
+        ea, eb, ea2 = (embed_batch(model, [x])[0] for x in (a, b, a))
+        pab = similarity_from_embeddings(ea, eb)
+        pba = similarity_from_embeddings(eb, ea)
         assert abs(pab - pba) <= 1e-12
         assert 0.0 < pab <= 1.0
-        assert pair_similarity(model, a, a) == 1.0
+        assert similarity_from_embeddings(ea, ea2) == 1.0
 
 
 # --- gradients ---------------------------------------------------------------
@@ -357,26 +357,48 @@ def _examples(per_class=2, classes=("a", "b")):
 
 
 def test_sample_pairs_balance():
-    pairs = sample_pairs(_examples(), seed=0, n_pairs=4)
-    labels = [p.label for p in pairs]
-    assert labels.count(1) == 2 and labels.count(0) == 2
+    _, _, y = sample_pairs(_examples(), seed=0, n_pairs=4)
+    assert y.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_sample_pairs_deterministic():
     a = sample_pairs(_examples(), seed=9, n_pairs=10)
     b = sample_pairs(_examples(), seed=9, n_pairs=10)
-    assert a == b
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_sample_pairs_draw_order_is_pinned():
+    # Classes of one, three and two members, and an odd pair count: four
+    # positives, the singleton paired with itself, then three negatives.
+    examples = [
+        (seq(2, max_len=4), "a"),
+        (seq(3, 1, max_len=4), "b"),
+        (seq(4, max_len=4), "b"),
+        (seq(5, 6, max_len=4), "b"),
+        (seq(7, max_len=4), "c"),
+        (seq(8, 2, max_len=4), "c"),
+    ]
+    a, b, y = sample_pairs(examples, seed=4, n_pairs=7)
+    assert (a.dtype, b.dtype, y.dtype) == (np.int64, np.int64, np.float64)
+    assert a.tolist() == [
+        [7, 0, 0, 0], [4, 0, 0, 0], [2, 0, 0, 0], [3, 1, 0, 0],
+        [3, 1, 0, 0], [4, 0, 0, 0], [2, 0, 0, 0],
+    ]
+    assert b.tolist() == [
+        [8, 2, 0, 0], [5, 6, 0, 0], [2, 0, 0, 0], [4, 0, 0, 0],
+        [8, 2, 0, 0], [2, 0, 0, 0], [5, 6, 0, 0],
+    ]
+    assert y.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_sample_pairs_no_self_pair_unless_singleton():
-    for p in sample_pairs(_examples(per_class=3), seed=1, n_pairs=50):
-        if p.label == 1:
-            assert p.a != p.b
+    a, b, y = sample_pairs(_examples(per_class=3), seed=1, n_pairs=50)
+    assert all(not np.array_equal(ra, rb) for ra, rb, label in zip(a, b, y) if label == 1)
     singleton = [(seq(2), "a"), (seq(3), "b"), (seq(4), "b")]
-    pairs = sample_pairs(singleton, seed=1, n_pairs=20)
-    selfpairs = [p for p in pairs if p.label == 1 and p.a == p.b]
+    a, b, y = sample_pairs(singleton, seed=1, n_pairs=20)
+    selfpairs = [ra for ra, rb, label in zip(a, b, y) if label == 1 and np.array_equal(ra, rb)]
     # Only the single-member class may pair with itself.
-    assert all(p.a == singleton[0][0] for p in selfpairs)
+    assert all(ra.tolist() == list(singleton[0][0]) for ra in selfpairs)
 
 
 def test_sample_pairs_single_class_rejected():
@@ -389,27 +411,28 @@ def test_large_sample_balance(corpus, trained):
     from tsgkit.vectorize import encode
 
     encoded = [(encode(s, vocab, 32), label) for s, label in corpus]
-    pairs = sample_pairs(encoded, seed=3, n_pairs=2000)
-    pos = sum(p.label for p in pairs)
-    assert abs(pos - (len(pairs) - pos)) <= 1
-    assert len(pairs) == 2000
+    a, b, y = sample_pairs(encoded, seed=3, n_pairs=2000)
+    pos = int(y.sum())
+    assert abs(pos - (len(y) - pos)) <= 1
+    assert a.shape == b.shape == (2000, 32) and len(y) == 2000
 
 
 # --- training ----------------------------------------------------------------
 
 
 def _tiny_pairs():
-    pos = TrainingPair(seq(2, 3), seq(2, 4), 1)
-    neg = TrainingPair(seq(2, 3), seq(8, 9), 0)
-    return [pos, neg, TrainingPair(seq(2, 4), seq(2, 3), 1), TrainingPair(seq(9, 8), seq(2, 4), 0)]
+    a = _as_batch([seq(2, 3), seq(2, 3), seq(2, 4), seq(9, 8)])
+    b = _as_batch([seq(2, 4), seq(8, 9), seq(2, 3), seq(2, 4)])
+    return a, b, np.array([1.0, 0.0, 1.0, 0.0])
 
 
 def test_train_requires_both_pair_kinds():
     hyper = Hyper(max_len=8, seed=1, epochs=1)
+    a, b = _as_batch([seq(2)]), _as_batch([seq(3)])
     with pytest.raises(NoPositivePairs):
-        train([TrainingPair(seq(2), seq(3), 0)], hyper, 10)
+        train((a, b, np.array([0.0])), hyper, 10)
     with pytest.raises(NoNegativePairs):
-        train([TrainingPair(seq(2), seq(3), 1)], hyper, 10)
+        train((a, b, np.array([1.0])), hyper, 10)
 
 
 def test_zero_learning_rate_keeps_initialization():
@@ -470,16 +493,14 @@ def _per_tensor_train(pairs, hyper, vocab_size):
     params = {name: rng.uniform(-0.05, 0.05, size=shape) for name, shape in shapes}
     ref = SimpleNamespace(params=params, vocab_size=vocab_size)
     rng = np.random.default_rng(hyper.seed + 1)
-    a_all = _as_batch([p.a for p in pairs])
-    b_all = _as_batch([p.b for p in pairs])
-    y_all = np.array([p.label for p in pairs], dtype=np.float64)
+    a_all, b_all, y_all = pairs
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = {k: np.zeros_like(t) for k, t in params.items()}
     v = {k: np.zeros_like(t) for k, t in params.items()}
     step = 0
     for _ in range(hyper.epochs):
-        order = rng.permutation(len(pairs))
-        for at in range(0, len(pairs), hyper.batch_size):
+        order = rng.permutation(len(y_all))
+        for at in range(0, len(y_all), hyper.batch_size):
             sel = order[at : at + hyper.batch_size]
             grads, _ = _pair_grads_and_loss(ref, a_all[sel], b_all[sel], y_all[sel])
             step += 1
@@ -561,3 +582,9 @@ def test_wrong_length_model_rejected(tmp_path, cut):
     path.write_bytes(cut(path.read_bytes()))
     with pytest.raises(ValueError):
         load_model(str(path))
+
+
+def test_max_len_limit_is_inclusive():
+    assert Hyper(max_len=MAX_LEN_LIMIT).max_len == 1024
+    with pytest.raises(ValueError, match="max_len must be at most 1024"):
+        Hyper(max_len=MAX_LEN_LIMIT + 1)
