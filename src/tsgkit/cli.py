@@ -238,6 +238,8 @@ def cmd_eval(args) -> int:
     seed = _require_seed(cfg)
     if cfg.knn_k < 1:
         raise ConfigError("knn_k must be at least 1")
+    if args.k < 2:
+        raise ConfigError("k must be at least 2")
     _check_fit_counts(cfg)
     hyper = _hyper(cfg, seed)
     corpus = _read_corpus(args.corpus)

@@ -43,9 +43,6 @@ class TokenClass:
     name: str
     pattern: str
 
-    def matches(self, s: str) -> tuple[tuple[int, int], ...]:
-        return _match_spans(self.name, s)
-
 
 # Ordered alphabet. ClauseTag is appended last so it does not perturb the
 # relative order of the core classes; it exists so programs can anchor on
@@ -75,17 +72,78 @@ ALPHABET: tuple[TokenClass, ...] = (
 
 CLASS_BY_NAME: dict[str, TokenClass] = {tc.name: tc for tc in ALPHABET}
 
-_COMPILED: dict[str, re.Pattern] = {tc.name: re.compile(tc.pattern) for tc in ALPHABET}
+_COMPILED: tuple[tuple[TokenClass, re.Pattern], ...] = tuple(
+    (tc, re.compile(tc.pattern)) for tc in ALPHABET
+)
+
+# Distinct strings whose index is kept.  A pass of the benchmark's 204
+# guides evaluates about 400 distinct strings; one index of a 100-character
+# string takes about 5 KiB until synthesis asks for its offset map.
+INDEX_CACHE_SIZE = 2048
 
 
-@lru_cache(maxsize=200_000)
-def _match_spans(name: str, s: str) -> tuple[tuple[int, int], ...]:
-    """(start, end) of each match of class `name` in s; cached per (name, s).
+class BoundaryIndex:
+    """Where the matches of every token class start and end in one string.
 
     Matches are leftmost, non-overlapping, and longest for these patterns
-    (all greedy).  A tuple, so no caller can change a cached result.
+    (all greedy).  `starts[name]` and `ends[name]` are the offsets where
+    matches of that class start and end, increasing.  Offsets and classes
+    are handed out as tuples, so no caller can change a cached index.
     """
-    return tuple((m.start(), m.end()) for m in _COMPILED[name].finditer(s))
+
+    __slots__ = ("starts", "ends", "_pairs", "_ending_at", "_starting_at")
+
+    def __init__(self, s: str):
+        self.starts: dict[str, tuple[int, ...]] = {}
+        self.ends: dict[str, tuple[int, ...]] = {}
+        for tc, pattern in _COMPILED:
+            spans = [m.span() for m in pattern.finditer(s)]
+            self.starts[tc.name] = tuple(sorted({b for b, _ in spans}))
+            self.ends[tc.name] = tuple(sorted({e for _, e in spans}))
+        self._pairs: dict[tuple[str, str], tuple[int, ...]] = {}
+        self._ending_at: Optional[dict[int, tuple[TokenClass, ...]]] = None
+        self._starting_at: Optional[dict[int, tuple[TokenClass, ...]]] = None
+
+    def classes_at(self, i: int) -> tuple[tuple[TokenClass, ...], tuple[TokenClass, ...]]:
+        """The classes, in alphabet order, with a match ending at offset i,
+        and those with a match starting there.  The maps are built on first
+        use: only synthesis asks, and evaluation need not pay for them."""
+        if self._ending_at is None:
+            self._ending_at = _classes_by_offset(self.ends)
+            self._starting_at = _classes_by_offset(self.starts)
+        return self._ending_at.get(i, ()), self._starting_at.get(i, ())
+
+    def boundaries(
+        self, left: Optional[TokenClass], right: Optional[TokenClass]
+    ) -> tuple[int, ...]:
+        """Offsets, increasing, where a `left` match ends and a `right` match
+        starts; None drops that side.  Two-sided results are memoized."""
+        if left is None:
+            return self.starts[right.name]
+        if right is None:
+            return self.ends[left.name]
+        key = (left.name, right.name)
+        bs = self._pairs.get(key)
+        if bs is None:
+            ends = set(self.ends[left.name])
+            bs = self._pairs[key] = tuple(i for i in self.starts[right.name] if i in ends)
+        return bs
+
+
+def _classes_by_offset(
+    offsets: dict[str, tuple[int, ...]]
+) -> dict[int, tuple[TokenClass, ...]]:
+    by_offset: dict[int, list[TokenClass]] = {}
+    for tc in ALPHABET:
+        for i in offsets[tc.name]:
+            by_offset.setdefault(i, []).append(tc)
+    return {i: tuple(tcs) for i, tcs in by_offset.items()}
+
+
+@lru_cache(maxsize=INDEX_CACHE_SIZE)
+def boundary_index(s: str) -> BoundaryIndex:
+    """The boundary index of s, built once per string while it stays cached."""
+    return BoundaryIndex(s)
 
 
 @dataclass(frozen=True)
@@ -119,18 +177,8 @@ class RegPos:
         if self.occurrence == 0:
             raise ValueError("occurrence must be nonzero")
 
-    def boundaries(self, s: str) -> list[int]:
-        if self.left is not None and self.right is not None:
-            ends = {end for _, end in self.left.matches(s)}
-            return sorted(
-                start for start, _ in self.right.matches(s) if start in ends
-            )
-        if self.left is not None:
-            return sorted({end for _, end in self.left.matches(s)})
-        return sorted({start for start, _ in self.right.matches(s)})
-
     def resolve(self, s: str) -> int:
-        bs = self.boundaries(s)
+        bs = boundary_index(s).boundaries(self.left, self.right)
         idx = self.occurrence - 1 if self.occurrence > 0 else len(bs) + self.occurrence
         if not 0 <= idx < len(bs):
             raise NoMatch(f"{serialize_position(self)} has no boundary #{self.occurrence}")
@@ -193,12 +241,14 @@ class Predicate:
             raise ValueError("occurrence must be >= 1")
 
     def holds(self, s: str) -> bool:
-        ms = self.tc.matches(s)
+        index = boundary_index(s)
+        # Offsets are increasing: only the first start can be 0, and only
+        # the last end can be len(s).
         if self.kind == "startswith":
-            return any(start == 0 for start, _ in ms)
+            return 0 in index.starts[self.tc.name][:1]
         if self.kind == "endswith":
-            return any(end == len(s) for _, end in ms)
-        return len(ms) >= self.occurrence
+            return len(s) in index.ends[self.tc.name][-1:]
+        return len(index.starts[self.tc.name]) >= self.occurrence
 
 
 @dataclass(frozen=True)

@@ -185,15 +185,22 @@ def extract(
     lexicon: Lexicon = Lexicon(),
     warnings: list[Warning_] | None = None,
 ) -> ParsedComponent:
-    """Run every registered parser for the component over the statement."""
+    """Run every registered parser for the component over the statement.
+
+    The statement is preprocessed once per distinct flag tuple.
+    """
     result = ParsedComponent(component)
     entries = registry.for_component(component)
     repeating = [e for e in entries if e.repeats]
+    segments = {
+        flags: _apply_preprocess(stmt.raw, flags, lexicon)
+        for flags in {e.preprocess for e in entries}
+    }
     for entry in entries:
         if entry.repeats:
             continue
         value = None
-        for segment in _apply_preprocess(stmt.raw, entry.preprocess, lexicon):
+        for segment in segments[entry.preprocess]:
             try:
                 value = eval_program(entry.program, segment)
                 break
@@ -204,9 +211,8 @@ def extract(
         else:
             result.constituents[entry.constituent] = value
     if repeating:
-        flags = repeating[0].preprocess
         tuples: list[tuple[str, ...]] = []
-        for segment in _apply_preprocess(stmt.raw, flags, lexicon):
+        for segment in segments[repeating[0].preprocess]:
             tuples.extend(
                 extract_repeating(
                     segment, [e.program for e in repeating], warnings=warnings,

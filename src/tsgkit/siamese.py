@@ -580,24 +580,28 @@ def save_model(model: SiameseModel, path: str) -> None:
 
 
 def load_model(path: str) -> SiameseModel:
+    """Errors name `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise ValueError("not a serialized twin-network model")
-    off = len(MAGIC) + _HEADER.size
-    if len(blob) < off + 32:
-        raise ValueError(f"model file is truncated ({len(blob)} bytes)")
-    version, vocab_size, max_len, seed, lr, epochs, batch = _HEADER.unpack_from(blob, len(MAGIC))
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version}")
-    n_params = _n_params(vocab_size)
-    if len(blob) != off + 8 * n_params + 32:
-        raise ValueError(f"model file has {len(blob)} bytes, not {off + 8 * n_params + 32}")
-    if hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
-        raise ValueError("model file is corrupt (hash mismatch)")
-    # astype copies, so the loaded parameters are writable.
-    flat = np.frombuffer(blob, dtype="<f8", count=n_params, offset=off).astype(np.float64)
-    hyper = Hyper(
-        max_len=max_len, seed=seed, learning_rate=lr, epochs=epochs, batch_size=batch
-    )
+    try:
+        if blob[: len(MAGIC)] != MAGIC:
+            raise ValueError("not a serialized twin-network model")
+        off = len(MAGIC) + _HEADER.size
+        if len(blob) < off + 32:
+            raise ValueError(f"model file is truncated ({len(blob)} bytes)")
+        version, vocab_size, max_len, seed, lr, epochs, batch = _HEADER.unpack_from(blob, len(MAGIC))
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {version}")
+        n_params = _n_params(vocab_size)
+        if len(blob) != off + 8 * n_params + 32:
+            raise ValueError(f"model file has {len(blob)} bytes, not {off + 8 * n_params + 32}")
+        if hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
+            raise ValueError("model file is corrupt (hash mismatch)")
+        # astype copies, so the loaded parameters are writable.
+        flat = np.frombuffer(blob, dtype="<f8", count=n_params, offset=off).astype(np.float64)
+        hyper = Hyper(
+            max_len=max_len, seed=seed, learning_rate=lr, epochs=epochs, batch_size=batch
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return SiameseModel(flat, hyper, vocab_size)

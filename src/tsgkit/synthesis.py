@@ -15,10 +15,16 @@ uncovered pairs when there are no negatives -- instead of all 2^n.  It
 visits them largest first and, within a size, in index order, and takes
 the first predicate in candidate order: the order and tie-breaks of a
 largest-first `itertools.combinations` walk, so the programs are the same.
+
+Candidate positions for an offset come from the input's boundary index
+(`dsl.boundary_index`): the classes whose matches end or start there, and
+each class's or class pair's increasing boundaries, are looked up rather
+than rescanned, and the occurrence number is a binary search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,6 +42,7 @@ from .dsl import (
     SubStr,
     TokenClass,
     atom_key,
+    boundary_index,
 )
 
 
@@ -160,12 +167,12 @@ def positions_resolving_to(s: str, i: int, bounds: Bounds = DEFAULT_BOUNDS) -> l
         out.append(AbsPos(i))
     if len(s) - i <= bounds.abs_window:
         out.append(AbsPos(i - len(s) - 1))
-    left_classes = [tc for tc in ALPHABET if any(e == i for _, e in tc.matches(s))]
-    right_classes = [tc for tc in ALPHABET if any(b == i for b, _ in tc.matches(s))]
+    index = boundary_index(s)
+    left_classes, right_classes = index.classes_at(i)
 
     def add(left: Optional[TokenClass], right: Optional[TokenClass]):
-        bs = RegPos(left, right, 1).boundaries(s)
-        idx = bs.index(i)
+        bs = index.boundaries(left, right)
+        idx = bisect_left(bs, i)
         if idx + 1 <= bounds.max_occurrence:
             out.append(RegPos(left, right, idx + 1))
         back = len(bs) - idx

@@ -86,10 +86,11 @@ def test_train_then_classify(tmp_path, capsys):
 def test_truncated_model_is_input_error(tmp_path, capsys):
     cfg = config_file(tmp_path)
     assert run("--config", cfg, "--seed", "1", "--quiet", "train", tiny_corpus(tmp_path)) == 0
-    (tmp_path / "art" / "model.bin").write_bytes(b"TSGSIAM1\x01\x00")
+    path = tmp_path / "art" / "model.bin"
+    path.write_bytes(b"TSGSIAM1\x01\x00")
     capsys.readouterr()
     assert run("--config", cfg, "classify", "anything") == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: {path}: model file is truncated")
 
 
 SPEC_HEADER = '{"component": "x", "constituent": "y"}\n'
@@ -190,7 +191,7 @@ def test_model_header_max_len_above_limit_is_input_error(tmp_path, capsys, artif
     blob[20:28] = (1025).to_bytes(8, "little")
     path.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
     assert run("--config", cfg, "classify", "anything") == 2
-    assert capsys.readouterr().err == "error: max_len must be at most 1024\n"
+    assert capsys.readouterr().err == f"error: {path}: max_len must be at most 1024\n"
 
 
 def test_config_value_of_wrong_type_names_line(tmp_path, capsys):
@@ -361,6 +362,14 @@ def test_eval_knn_k_below_one_is_config_error_before_any_fit(
     argv = ["--knn-k", knn_k, "eval", corpus, *AFTER_CORPUS["eval"]]
     assert run("--config", cfg, "--seed", "1", *argv) == 3
     assert "knn_k must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["1", "0"])
+def test_eval_k_below_two_is_config_error_before_reading_corpus(tmp_path, capsys, k):
+    cfg = config_file(tmp_path)
+    missing = str(tmp_path / "no-such-corpus.jsonl")
+    assert run("--config", cfg, "--seed", "1", "eval", missing, "--k", k) == 3
+    assert capsys.readouterr().err == "config error: k must be at least 2\n"
 
 
 def test_automate_missing_model_is_config_error(tmp_path):

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgkit.dsl import (
@@ -14,14 +16,16 @@ from tsgkit.dsl import (
     OutOfRange,
     ParseError,
     Predicate,
+    INDEX_CACHE_SIZE,
     RegPos,
     SubStr,
+    boundary_index,
     eval_program,
     parse,
     program_key,
     serialize,
 )
-from tsgkit.synthesis import synthesize
+from tsgkit.synthesis import DEFAULT_BOUNDS, positions_resolving_to, synthesize
 
 ALPHA = CLASS_BY_NAME["Alpha"]
 DOLLAR_WORD = CLASS_BY_NAME["DollarWord"]
@@ -316,3 +320,140 @@ def test_eval_total_result_or_evalfailure(s):
         assert first == second
     except EvalFailure:
         pass
+
+
+# --- boundary index ----------------------------------------------------------
+#
+# The index must give exactly what scanning each class's matches gives.  The
+# reference below re-runs `re.finditer` and sorts on every call.
+
+SIDES = (None,) + ALPHABET
+OCCURRENCES = (1, 2, 3, -1, -2, -3)
+
+index_text = st.lists(
+    st.one_of(
+        st.sampled_from(list("aZq09 \t\n$-./|\"'{},=_") + ["<CL1>", "</CL2>"]),
+        st.sampled_from(list("é中ß٣\u00a0\u2003")),
+        st.characters(),
+    ),
+    max_size=24,
+).map("".join)
+
+
+def reference_spans(s):
+    return {tc.name: [m.span() for m in re.finditer(tc.pattern, s)] for tc in ALPHABET}
+
+
+def reference_boundaries(spans, left, right):
+    if left is not None and right is not None:
+        ends = {e for _, e in spans[left.name]}
+        return sorted({b for b, _ in spans[right.name] if b in ends})
+    if left is not None:
+        return sorted({e for _, e in spans[left.name]})
+    return sorted({b for b, _ in spans[right.name]})
+
+
+def reference_resolve(spans, pos):
+    bs = reference_boundaries(spans, pos.left, pos.right)
+    idx = pos.occurrence - 1 if pos.occurrence > 0 else len(bs) + pos.occurrence
+    return bs[idx] if 0 <= idx < len(bs) else NoMatch
+
+
+def resolve_or_nomatch(pos, s):
+    try:
+        return pos.resolve(s)
+    except NoMatch:
+        return NoMatch
+
+
+def reg_positions():
+    for left in SIDES:
+        for right in SIDES:
+            if left is not None or right is not None:
+                for occ in OCCURRENCES:
+                    yield RegPos(left, right, occ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(index_text)
+def test_boundary_index_matches_rescanning_reference(s):
+    spans = reference_spans(s)
+    for pos in reg_positions():
+        assert resolve_or_nomatch(pos, s) == reference_resolve(spans, pos), pos
+
+
+@settings(max_examples=60, deadline=None)
+@given(index_text)
+def test_positions_resolving_to_matches_brute_force(s):
+    spans = reference_spans(s)
+    window = DEFAULT_BOUNDS.abs_window
+    candidates = [AbsPos(k) for k in range(window + 1)]
+    candidates += [AbsPos(-k) for k in range(1, window + 2)]
+    candidates += [
+        p for p in reg_positions() if abs(p.occurrence) <= DEFAULT_BOUNDS.max_occurrence
+    ]
+
+    def reference(p):
+        if isinstance(p, RegPos):
+            return reference_resolve(spans, p)
+        try:
+            return p.resolve(s)
+        except OutOfRange:
+            return None
+
+    resolved = {p: reference(p) for p in candidates}
+    for i in range(len(s) + 1):
+        got = positions_resolving_to(s, i)
+        assert len(got) == len(set(got))
+        assert set(got) == {p for p, j in resolved.items() if j == i}, i
+
+
+@settings(max_examples=60, deadline=None)
+@given(index_text)
+def test_predicates_match_rescanning_reference(s):
+    spans = reference_spans(s)
+    for tc in ALPHABET:
+        ms = spans[tc.name]
+        assert Predicate("startswith", tc).holds(s) == any(b == 0 for b, _ in ms)
+        assert Predicate("endswith", tc).holds(s) == any(e == len(s) for _, e in ms)
+        for occ in range(1, DEFAULT_BOUNDS.max_occurrence + 1):
+            assert Predicate("contains", tc, occ).holds(s) == (len(ms) >= occ)
+
+
+@given(index_text)
+def test_results_do_not_depend_on_the_cache(s):
+    pos = [p for p in reg_positions() if p.occurrence in (1, -1)]
+    warm = [resolve_or_nomatch(p, s) for p in pos]
+    boundary_index.cache_clear()
+    assert [resolve_or_nomatch(p, s) for p in pos] == warm
+
+
+ADVERSARIAL = (
+    "$mb = Get-Mailbox -Identity 'a.b' | Set-Item -Force {x}, y=1 <CL1>if</CL1> \t"
+    * 2_700
+)[:200_000]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [ADVERSARIAL, "Überprüfen Sie die Warteschlange — 队列已满 $név = Get-Ärger -Zeit ½"],
+    ids=["200k-line", "non-ascii"],
+)
+def test_bundled_programs_survive_adversarial_input(bundled_specs, text):
+    for name, spec in bundled_specs.items():
+        prog = synthesize(spec)
+        try:
+            out = eval_program(prog, text)
+        except EvalFailure:
+            continue
+        assert isinstance(out, str), name
+
+
+def test_index_cache_stays_bounded():
+    assert boundary_index.cache_info().maxsize == INDEX_CACHE_SIZE
+    prog = ExtractionProgram(
+        default=Branch((SubStr(RegPos(None, DOLLAR_WORD, 1), RegPos(DOLLAR_WORD, None, 1)),))
+    )
+    for n in range(INDEX_CACHE_SIZE + 100):
+        assert eval_program(prog, f"$v{n} = x") == f"$v{n}"
+    assert boundary_index.cache_info().currsize <= INDEX_CACHE_SIZE

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from tsgkit.dsl import Branch, ConstStr, ExtractionProgram, parse, serialize
@@ -11,6 +13,9 @@ from tsgkit.extract import (
     split_pipes,
 )
 from tsgkit.ingest import Statement, tokenize
+
+# The package exports the function `extract`, which hides the module.
+extract_module = importlib.import_module("tsgkit.extract")
 
 
 def stmt(text):
@@ -202,3 +207,28 @@ def test_extract_values_are_substrings_or_constants(registry):
         items = value if isinstance(value, list) else [value]
         for item in items:
             assert item in s.raw
+
+
+@pytest.mark.parametrize(
+    "component, text, counted",
+    [
+        ("natural_language", "If the queue is full, then restart the worker.", "tag_clauses"),
+        ("powershell", "$m = Get-Mailbox -Identity x | Format-List -Property Name", "split_pipes"),
+        ("torus", "$r = Get-TransportRule -Organization contoso | Remove-Item", "split_pipes"),
+    ],
+)
+def test_extract_preprocesses_once_per_flag_tuple(registry, monkeypatch, component, text, counted):
+    before = extract(stmt(text), component, registry)
+    calls = []
+    original = getattr(extract_module, counted)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(extract_module, counted, counting)
+    after = extract(stmt(text), component, registry)
+    flag_tuples = {e.preprocess for e in registry.for_component(component)}
+    assert len(flag_tuples) == 1 and len(registry.for_component(component)) >= 2
+    assert len(calls) == 1
+    assert (after.constituents, after.missing) == (before.constituents, before.missing)
