@@ -54,4 +54,4 @@ print("  listen :7070 now ->", eval_program(program, "listen :7070 now"))
 try:
     eval_program(program, "no port configured")
 except EvalFailure as err:
-    print("  negative input   -> EvalFailure:", err.reason)
+    print("  negative input   -> EvalFailure:", err)

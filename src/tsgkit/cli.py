@@ -43,10 +43,6 @@ OVERRIDES = (
 )
 
 
-class InputError(Exception):
-    pass
-
-
 class ConfigError(Exception):
     pass
 
@@ -113,7 +109,7 @@ def _hyper(cfg: Config, seed: int) -> Hyper:
 
 def _read_corpus(path: str):
     if not os.path.exists(path):
-        raise InputError(f"corpus file not found: {path}")
+        raise FileNotFoundError(f"corpus file not found: {path}")
     return evalharness.load_corpus(path)
 
 
@@ -167,7 +163,7 @@ def cmd_synthesize(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not os.path.exists(args.spec):
-        raise InputError(f"spec file not found: {args.spec}")
+        raise FileNotFoundError(f"spec file not found: {args.spec}")
     spec = synthesis.load_spec(args.spec, _lexicon(cfg))
     program = synthesis.synthesize(spec, bounds)
     print(serialize(program))
@@ -202,13 +198,16 @@ def cmd_parse(args) -> int:
 def cmd_automate(args) -> int:
     cfg = _load_cfg(args)
     if not os.path.exists(args.tsg):
-        raise InputError(f"TSG file not found: {args.tsg}")
+        raise FileNotFoundError(f"TSG file not found: {args.tsg}")
     vocab, model, protos = _load_artifacts(cfg)
     if not os.path.exists(cfg.registry):
         raise ConfigError(f"registry not found: {cfg.registry}")
     registry = load_registry(cfg.registry)
     with open(args.tsg, encoding="utf-8") as fh:
-        doc = RawDocument(fh.read(), os.path.basename(args.tsg))
+        try:
+            doc = RawDocument(fh.read(), os.path.basename(args.tsg))
+        except UnicodeDecodeError:
+            raise ValueError(f"{args.tsg}: not UTF-8 text") from None
     schema = schematize(doc, model, vocab, protos, registry, _lexicon(cfg))
     workflow = emit_workflow(schema)
     stem = os.path.splitext(args.tsg)[0]
@@ -243,12 +242,9 @@ def cmd_eval(args) -> int:
     _check_fit_counts(cfg)
     hyper = _hyper(cfg, seed)
     corpus = _read_corpus(args.corpus)
-    try:
-        results = evalharness.run_comparison(
-            corpus, args.k, hyper, cfg.n_pairs, cfg.min_freq, cfg.knn_k
-        )
-    except evalharness.ClassTooSmall as exc:
-        raise InputError(str(exc)) from exc
+    results = evalharness.run_comparison(
+        corpus, args.k, hyper, cfg.n_pairs, cfg.min_freq, cfg.knn_k
+    )
     for name, metrics in results.items():
         print(evalharness.format_metrics_table(name, metrics))
         print()
@@ -297,9 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

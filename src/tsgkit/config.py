@@ -73,15 +73,33 @@ def data_path(name: str) -> str:
 def read_jsonl(path: str) -> list[tuple[int, Any]]:
     """(line number, record) for each non-blank line of a JSON-lines file.
 
-    A syntax error raises ValueError naming `path:line`.
+    A syntax error or text that is not UTF-8 raises ValueError naming
+    `path:line`.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc.msg} at column {exc.colno}") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    records.append((lineno, json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"{path}:{lineno}: {exc.msg} at column {exc.colno}"
+                    ) from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{_first_non_utf8_line(path)}: not UTF-8 text") from None
     return records
+
+
+def _first_non_utf8_line(path: str) -> int:
+    # The text reader decodes ahead in chunks, so the line being read when
+    # decoding fails need not be the line that holds the bad bytes.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    raise AssertionError(f"{path} decodes as UTF-8")

@@ -13,23 +13,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from json.decoder import JSONDecodeError, scanstring
+from json.encoder import encode_basestring
 from typing import Optional
 
 
 class EvalFailure(Exception):
-    """A program could not produce a value for the given input."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-class NoMatch(EvalFailure):
-    pass
-
-
-class OutOfRange(EvalFailure):
-    pass
+    """A program could not produce a value for the given input; the message says why."""
 
 
 class ParseError(ValueError):
@@ -38,43 +28,35 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class TokenClass:
-    name: str
-    pattern: str
-
-
-# Ordered alphabet. ClauseTag is appended last so it does not perturb the
-# relative order of the core classes; it exists so programs can anchor on
-# the <CL1>/<CL2> markers emitted by the clause tagger.
-ALPHABET: tuple[TokenClass, ...] = (
-    TokenClass("Alphanumeric", r"[A-Za-z0-9]+"),
-    TokenClass("Alpha", r"[A-Za-z]+"),
-    TokenClass("Digits", r"[0-9]+"),
-    TokenClass("Whitespace", r"\s+"),
-    TokenClass("Dollar", r"\$"),
-    TokenClass("Dash", r"-"),
-    TokenClass("Dot", r"\."),
-    TokenClass("Slash", r"/"),
-    TokenClass("Pipe", r"\|"),
-    TokenClass("Quote", r"[\"']"),
-    TokenClass("OpenBrace", r"\{"),
-    TokenClass("CloseBrace", r"\}"),
-    TokenClass("Comma", r","),
-    TokenClass("Equals", r"="),
-    TokenClass("DollarWord", r"\$[A-Za-z0-9]+"),
-    TokenClass("DashWord", r"-[A-Za-z0-9]+"),
-    TokenClass("DottedName", r"[A-Za-z0-9_.\-]+"),
-    TokenClass("StartAnchor", r"^"),
-    TokenClass("EndAnchor", r"\Z"),
-    TokenClass("ClauseTag", r"</?CL[0-9]+>"),
-)
-
-CLASS_BY_NAME: dict[str, TokenClass] = {tc.name: tc for tc in ALPHABET}
-
-_COMPILED: tuple[tuple[TokenClass, re.Pattern], ...] = tuple(
-    (tc, re.compile(tc.pattern)) for tc in ALPHABET
-)
+# Ordered alphabet: token-class name -> pattern.  Programs hold the name;
+# only `BoundaryIndex` reads the pattern.  ClauseTag is appended last so it does not
+# perturb the relative order of the core classes; it exists so programs can
+# anchor on the <CL1>/<CL2> markers emitted by the clause tagger.
+ALPHABET: dict[str, re.Pattern] = {
+    name: re.compile(pattern)
+    for name, pattern in (
+        ("Alphanumeric", r"[A-Za-z0-9]+"),
+        ("Alpha", r"[A-Za-z]+"),
+        ("Digits", r"[0-9]+"),
+        ("Whitespace", r"\s+"),
+        ("Dollar", r"\$"),
+        ("Dash", r"-"),
+        ("Dot", r"\."),
+        ("Slash", r"/"),
+        ("Pipe", r"\|"),
+        ("Quote", r"[\"']"),
+        ("OpenBrace", r"\{"),
+        ("CloseBrace", r"\}"),
+        ("Comma", r","),
+        ("Equals", r"="),
+        ("DollarWord", r"\$[A-Za-z0-9]+"),
+        ("DashWord", r"-[A-Za-z0-9]+"),
+        ("DottedName", r"[A-Za-z0-9_.\-]+"),
+        ("StartAnchor", r"^"),
+        ("EndAnchor", r"\Z"),
+        ("ClauseTag", r"</?CL[0-9]+>"),
+    )
+}
 
 # Distinct strings whose index is kept.  A pass of the benchmark's 204
 # guides evaluates about 400 distinct strings; one index of a 100-character
@@ -96,15 +78,15 @@ class BoundaryIndex:
     def __init__(self, s: str):
         self.starts: dict[str, tuple[int, ...]] = {}
         self.ends: dict[str, tuple[int, ...]] = {}
-        for tc, pattern in _COMPILED:
+        for name, pattern in ALPHABET.items():
             spans = [m.span() for m in pattern.finditer(s)]
-            self.starts[tc.name] = tuple(sorted({b for b, _ in spans}))
-            self.ends[tc.name] = tuple(sorted({e for _, e in spans}))
+            self.starts[name] = tuple(sorted({b for b, _ in spans}))
+            self.ends[name] = tuple(sorted({e for _, e in spans}))
         self._pairs: dict[tuple[str, str], tuple[int, ...]] = {}
-        self._ending_at: Optional[dict[int, tuple[TokenClass, ...]]] = None
-        self._starting_at: Optional[dict[int, tuple[TokenClass, ...]]] = None
+        self._ending_at: Optional[dict[int, tuple[str, ...]]] = None
+        self._starting_at: Optional[dict[int, tuple[str, ...]]] = None
 
-    def classes_at(self, i: int) -> tuple[tuple[TokenClass, ...], tuple[TokenClass, ...]]:
+    def classes_at(self, i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """The classes, in alphabet order, with a match ending at offset i,
         and those with a match starting there.  The maps are built on first
         use: only synthesis asks, and evaluation need not pay for them."""
@@ -113,31 +95,27 @@ class BoundaryIndex:
             self._starting_at = _classes_by_offset(self.starts)
         return self._ending_at.get(i, ()), self._starting_at.get(i, ())
 
-    def boundaries(
-        self, left: Optional[TokenClass], right: Optional[TokenClass]
-    ) -> tuple[int, ...]:
+    def boundaries(self, left: Optional[str], right: Optional[str]) -> tuple[int, ...]:
         """Offsets, increasing, where a `left` match ends and a `right` match
         starts; None drops that side.  Two-sided results are memoized."""
         if left is None:
-            return self.starts[right.name]
+            return self.starts[right]
         if right is None:
-            return self.ends[left.name]
-        key = (left.name, right.name)
+            return self.ends[left]
+        key = (left, right)
         bs = self._pairs.get(key)
         if bs is None:
-            ends = set(self.ends[left.name])
-            bs = self._pairs[key] = tuple(i for i in self.starts[right.name] if i in ends)
+            ends = set(self.ends[left])
+            bs = self._pairs[key] = tuple(i for i in self.starts[right] if i in ends)
         return bs
 
 
-def _classes_by_offset(
-    offsets: dict[str, tuple[int, ...]]
-) -> dict[int, tuple[TokenClass, ...]]:
-    by_offset: dict[int, list[TokenClass]] = {}
-    for tc in ALPHABET:
-        for i in offsets[tc.name]:
-            by_offset.setdefault(i, []).append(tc)
-    return {i: tuple(tcs) for i, tcs in by_offset.items()}
+def _classes_by_offset(offsets: dict[str, tuple[int, ...]]) -> dict[int, tuple[str, ...]]:
+    by_offset: dict[int, list[str]] = {}
+    for name in ALPHABET:
+        for i in offsets[name]:
+            by_offset.setdefault(i, []).append(name)
+    return {i: tuple(names) for i, names in by_offset.items()}
 
 
 @lru_cache(maxsize=INDEX_CACHE_SIZE)
@@ -155,7 +133,7 @@ class AbsPos:
     def resolve(self, s: str) -> int:
         i = self.k if self.k >= 0 else len(s) + self.k + 1
         if not 0 <= i <= len(s):
-            raise OutOfRange(f"abs({self.k}) outside [0, {len(s)}]")
+            raise EvalFailure(f"abs({self.k}) outside [0, {len(s)}]")
         return i
 
 
@@ -163,12 +141,13 @@ class AbsPos:
 class RegPos:
     """Boundary where a `left` match ends and/or a `right` match starts.
 
-    Boundaries are counted left-to-right for occurrence > 0 and
+    `left` and `right` name `ALPHABET` classes; None (`eps`) drops that
+    side.  Boundaries are counted left-to-right for occurrence > 0 and
     right-to-left for occurrence < 0.
     """
 
-    left: Optional[TokenClass]
-    right: Optional[TokenClass]
+    left: Optional[str]
+    right: Optional[str]
     occurrence: int
 
     def __post_init__(self):
@@ -181,7 +160,7 @@ class RegPos:
         bs = boundary_index(s).boundaries(self.left, self.right)
         idx = self.occurrence - 1 if self.occurrence > 0 else len(bs) + self.occurrence
         if not 0 <= idx < len(bs):
-            raise NoMatch(f"{serialize_position(self)} has no boundary #{self.occurrence}")
+            raise EvalFailure(f"{serialize_position(self)} has no boundary #{self.occurrence}")
         return bs[idx]
 
 
@@ -231,7 +210,7 @@ class Branch:
 @dataclass(frozen=True)
 class Predicate:
     kind: str  # startswith | endswith | contains
-    tc: TokenClass
+    tc: str  # an ALPHABET class name
     occurrence: int = 1
 
     def __post_init__(self):
@@ -245,10 +224,10 @@ class Predicate:
         # Offsets are increasing: only the first start can be 0, and only
         # the last end can be len(s).
         if self.kind == "startswith":
-            return 0 in index.starts[self.tc.name][:1]
+            return 0 in index.starts[self.tc][:1]
         if self.kind == "endswith":
-            return len(s) in index.ends[self.tc.name][-1:]
-        return len(index.starts[self.tc.name]) >= self.occurrence
+            return len(s) in index.ends[self.tc][-1:]
+        return len(index.starts[self.tc]) >= self.occurrence
 
 
 @dataclass(frozen=True)
@@ -317,15 +296,14 @@ def atom_key(a: Atom) -> tuple:
 def serialize_position(p: PositionExpr) -> str:
     if isinstance(p, AbsPos):
         return f"abs({p.k})"
-    left = p.left.name if p.left else "eps"
-    right = p.right.name if p.right else "eps"
-    return f"pos({left},{right},{p.occurrence})"
+    return f"pos({p.left or 'eps'},{p.right or 'eps'},{p.occurrence})"
 
 
 def _serialize_atom(a: Atom) -> str:
     if isinstance(a, ConstStr):
-        body = a.s.replace("\\", "\\\\").replace('"', '\\"')
-        return f'const("{body}")'
+        # A JSON string literal, as json.dumps(a.s, ensure_ascii=False)
+        # writes it: "\n" and "\r" are escaped, so a registry line never splits.
+        return f"const({encode_basestring(a.s)})"
     return f"sub({serialize_position(a.start)},{serialize_position(a.end)})"
 
 
@@ -335,8 +313,8 @@ def _serialize_branch(b: Branch) -> str:
 
 def _serialize_predicate(p: Predicate) -> str:
     if p.kind == "contains":
-        return f"contains({p.tc.name},{p.occurrence})"
-    return f"{p.kind}({p.tc.name})"
+        return f"contains({p.tc},{p.occurrence})"
+    return f"{p.kind}({p.tc})"
 
 
 def serialize(prog: ExtractionProgram) -> str:
@@ -386,30 +364,25 @@ class _Parser:
         return m.group(0)
 
     def string(self) -> str:
+        """A JSON string literal."""
         self.expect('"')
-        out = []
-        while True:
-            if self.i >= len(self.text):
-                raise self.error("unterminated string")
-            ch = self.text[self.i]
-            self.i += 1
-            if ch == "\\":
-                if self.i >= len(self.text):
-                    raise self.error("dangling escape")
-                out.append(self.text[self.i])
-                self.i += 1
-            elif ch == '"':
-                return "".join(out)
-            else:
-                out.append(ch)
+        try:
+            s, self.i = scanstring(self.text, self.i, False)
+        except JSONDecodeError as exc:
+            if exc.msg.startswith("Unterminated"):
+                self.i = len(self.text)
+                raise self.error("unterminated string") from None
+            self.i = exc.pos
+            raise self.error("invalid escape") from None
+        return s
 
-    def token_class(self, allow_eps: bool = False) -> Optional[TokenClass]:
+    def token_class(self, allow_eps: bool = False) -> Optional[str]:
         w = self.word()
         if allow_eps and w == "eps":
             return None
-        if w not in CLASS_BY_NAME:
+        if w not in ALPHABET:
             raise self.error(f"unknown token class {w!r}")
-        return CLASS_BY_NAME[w]
+        return w
 
     def position(self) -> PositionExpr:
         w = self.word()

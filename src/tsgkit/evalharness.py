@@ -18,14 +18,6 @@ from .synthesis import ExampleSpec
 from .vectorize import bow, build_vocabulary, encode
 
 
-class ClassTooSmall(ValueError):
-    pass
-
-
-class OverlapDetected(ValueError):
-    pass
-
-
 def load_corpus(path: str) -> list[tuple[Statement, str]]:
     """Line-delimited {"text", "label"} records; errors name `path:line`."""
     examples: list[tuple[Statement, str]] = []
@@ -36,7 +28,11 @@ def load_corpus(path: str) -> list[tuple[Statement, str]]:
         ):
             raise ValueError(f"{path}:{i}: expected an object with string text and label")
         text = rec["text"]
-        examples.append((Statement(text, i, i, tuple(tokenize(text))), rec["label"]))
+        try:
+            stmt = Statement(text, i, i, tuple(tokenize(text)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i}: {exc}") from None
+        examples.append((stmt, rec["label"]))
     return examples
 
 
@@ -111,7 +107,7 @@ def stratified_folds(
     for label in sorted(by_class):
         idxs = by_class[label]
         if len(idxs) < k:
-            raise ClassTooSmall(f"class {label!r} has {len(idxs)} < k={k} examples")
+            raise ValueError(f"class {label!r} has {len(idxs)} < k={k} examples")
         order = rng.permutation(len(idxs))
         for slot, which in enumerate(order):
             folds[slot % k].append(idxs[which])
@@ -236,9 +232,7 @@ def parsing_report(
     spec_inputs = {inp for spec in specs for inp, _ in spec.pairs}
     for stmt, _, _ in testset:
         if stmt.raw in spec_inputs:
-            raise OverlapDetected(
-                f"test statement also appears in a synthesis spec: {stmt.raw!r}"
-            )
+            raise ValueError(f"test statement also appears in a synthesis spec: {stmt.raw!r}")
     tallies: dict[str, list[int]] = {}
     for stmt, component, expected in testset:
         got = extract(stmt, component, registry)

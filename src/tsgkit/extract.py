@@ -60,7 +60,9 @@ def load_registry(path: str) -> ParserRegistry:
     """Errors name `path:line`."""
     registry = ParserRegistry()
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        # Only "\n" ends an entry: str.splitlines() would also split on
+        # characters a program constant may hold, such as U+2028.
+        lines = fh.read().split("\n")
     if not lines or lines[0] != REGISTRY_HEADER:
         raise ValueError(f"{path}: not a parser registry file")
     try:

@@ -14,18 +14,6 @@ from .siamese import (
 )
 from .vectorize import Vocabulary, build_vocabulary, encode
 
-class EmptyClass(ValueError):
-    pass
-
-
-class NoPrototypes(ValueError):
-    pass
-
-
-class EmptyTrainingSet(ValueError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class Prototype:
     label: str
@@ -54,7 +42,7 @@ def compute_prototypes(
     for label in sorted(support):
         xs = support[label]
         if not xs:
-            raise EmptyClass(f"class {label!r} has no support examples")
+            raise ValueError(f"class {label!r} has no support examples")
         vectors = embed_batch(model, xs)
         protos.append(Prototype(label, vectors.mean(axis=0), len(xs)))
     return protos
@@ -91,7 +79,7 @@ def classify_batch(
     if not xs:
         return []
     if not protos:
-        raise NoPrototypes("need at least one prototype")
+        raise ValueError("need at least one prototype")
     # Label order; a repeated label keeps its last prototype.
     by_label = {p.label: p.vector for p in sorted(protos, key=lambda p: p.label)}
     labels = list(by_label)
@@ -163,7 +151,7 @@ def knn_bow_classify(
     Distance ties break by training-set order, vote ties lexicographically.
     """
     if not train:
-        raise EmptyTrainingSet("knn needs a non-empty training set")
+        raise ValueError("knn needs a non-empty training set")
     if not 1 <= k <= len(train):
         raise ValueError(f"k must be in [1, {len(train)}]")
     ranked = sorted(

@@ -50,22 +50,6 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<IQQQdQQ")
 
 
-class IndexOutOfVocab(ValueError):
-    pass
-
-
-class NoPositivePairs(ValueError):
-    pass
-
-
-class NoNegativePairs(ValueError):
-    pass
-
-
-class SingleClassCorpus(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Hyper:
     max_len: int = 64
@@ -339,9 +323,7 @@ def _forward_batch(model: SiameseModel, xb: np.ndarray, ws: _Workspace) -> np.nd
     """[len(xb), DENSE_DIM] embeddings of the index rows xb, computed in ws."""
     p = model.params
     if xb.min() < 0 or xb.max() >= model.vocab_size:
-        raise IndexOutOfVocab(
-            f"index outside [0, {model.vocab_size}) in input batch"
-        )
+        raise ValueError(f"index outside [0, {model.vocab_size}) in input batch")
     n = len(xb)
     z1 = _embed_conv1(p["embedding"], p["conv1_w"], p["conv1_b"], xb, ws)
     a1 = np.maximum(z1, 0.0, out=ws.scratch1[:n])
@@ -411,7 +393,7 @@ def sample_pairs(
         by_class.setdefault(label, []).append(row)
     classes = sorted(by_class)
     if len(classes) < 2:
-        raise SingleClassCorpus("pair sampling needs at least two classes")
+        raise ValueError("pair sampling needs at least two classes")
     rng = np.random.default_rng(seed)
     n_pos = (n_pairs + 1) // 2
     rows: list[tuple[int, int]] = []
@@ -531,9 +513,9 @@ def train(
     """
     a_all, b_all, y_all = pairs
     if not (y_all == 1).any():
-        raise NoPositivePairs("training needs at least one positive pair")
+        raise ValueError("training needs at least one positive pair")
     if not (y_all == 0).any():
-        raise NoNegativePairs("training needs at least one negative pair")
+        raise ValueError("training needs at least one negative pair")
     model = init_model(vocab_size, hyper)
     rng = np.random.default_rng(hyper.seed + 1)
     n_pairs = len(y_all)

@@ -40,7 +40,6 @@ from .dsl import (
     Predicate,
     RegPos,
     SubStr,
-    TokenClass,
     atom_key,
     boundary_index,
 )
@@ -50,10 +49,6 @@ class SynthesisFailure(Exception):
     def __init__(self, message: str, unmet_pairs: list[tuple[str, str]]):
         super().__init__(message)
         self.unmet_pairs = unmet_pairs
-
-
-class NoOccurrence(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,10 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
         if "tag_clauses" in flags:
             from .clauses import Lexicon, tag_clauses
 
-            text = tag_clauses(text, lexicon or Lexicon())
+            try:
+                text = tag_clauses(text, lexicon or Lexicon())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         if rec.get("output") is None:
             negatives.append(text)
         else:
@@ -170,7 +168,7 @@ def positions_resolving_to(s: str, i: int, bounds: Bounds = DEFAULT_BOUNDS) -> l
     index = boundary_index(s)
     left_classes, right_classes = index.classes_at(i)
 
-    def add(left: Optional[TokenClass], right: Optional[TokenClass]):
+    def add(left: Optional[str], right: Optional[str]):
         bs = index.boundaries(left, right)
         idx = bisect_left(bs, i)
         if idx + 1 <= bounds.max_occurrence:
@@ -179,10 +177,10 @@ def positions_resolving_to(s: str, i: int, bounds: Bounds = DEFAULT_BOUNDS) -> l
         if back <= bounds.max_occurrence:
             out.append(RegPos(left, right, -back))
 
-    for tc in left_classes:
-        add(tc, None)
-    for tc in right_classes:
-        add(None, tc)
+    for name in left_classes:
+        add(name, None)
+    for name in right_classes:
+        add(None, name)
     for lt in left_classes:
         for rt in right_classes:
             add(lt, rt)
@@ -192,7 +190,7 @@ def positions_resolving_to(s: str, i: int, bounds: Bounds = DEFAULT_BOUNDS) -> l
 def generate_atoms(inp: str, out: str, bounds: Bounds = DEFAULT_BOUNDS) -> set[Atom]:
     """Atoms consistent with one example, over every occurrence of the output."""
     if not out or out not in inp:
-        raise NoOccurrence(f"output {out!r} does not occur in input {inp!r}")
+        raise ValueError(f"output {out!r} does not occur in input {inp!r}")
     atoms: set[Atom] = {ConstStr(out)}
     start = inp.find(out)
     while start >= 0:
@@ -306,11 +304,11 @@ def _branch_for_pairs(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[
 
 def _predicate_candidates(bounds: Bounds):
     for kind in ("startswith", "endswith"):
-        for tc in ALPHABET:
-            yield Predicate(kind, tc)
-    for tc in ALPHABET:
+        for name in ALPHABET:
+            yield Predicate(kind, name)
+    for name in ALPHABET:
         for occ in range(1, bounds.max_occurrence + 1):
-            yield Predicate("contains", tc, occ)
+            yield Predicate("contains", name, occ)
 
 
 def _program_succeeds(prog: ExtractionProgram, s: str) -> bool:

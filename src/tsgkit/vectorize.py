@@ -16,10 +16,6 @@ PAD = 0
 UNK = 1
 
 
-class EmptyCorpus(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     token_to_index: dict[str, int]
@@ -35,7 +31,7 @@ class Vocabulary:
 def build_vocabulary(corpus: list[Statement], min_freq: int = 1) -> Vocabulary:
     """Tokens occurring >= min_freq times, most frequent first (ties: lexicographic)."""
     if not corpus:
-        raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
+        raise ValueError("cannot build a vocabulary from an empty corpus")
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
     counts = Counter(tok for stmt in corpus for tok in stmt.tokens)

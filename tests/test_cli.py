@@ -50,9 +50,25 @@ def test_help_exits_zero(capsys):
     assert "synthesize" in capsys.readouterr().out
 
 
-def test_missing_corpus_is_input_error(tmp_path):
+def test_missing_corpus_is_input_error(tmp_path, capsys):
     cfg = config_file(tmp_path)
-    assert run("--config", cfg, "--seed", "1", "train", str(tmp_path / "nope.jsonl")) == 2
+    missing = tmp_path / "nope.jsonl"
+    assert run("--config", cfg, "--seed", "1", "train", str(missing)) == 2
+    assert capsys.readouterr().err == f"error: corpus file not found: {missing}\n"
+
+
+def test_missing_spec_is_input_error(tmp_path, capsys):
+    cfg = config_file(tmp_path)
+    missing = tmp_path / "nope.jsonl"
+    assert run("--config", cfg, "synthesize", str(missing)) == 2
+    assert capsys.readouterr().err == f"error: spec file not found: {missing}\n"
+
+
+def test_missing_guide_is_input_error(tmp_path, capsys):
+    cfg = config_file(tmp_path)
+    missing = tmp_path / "nope.md"
+    assert run("--config", cfg, "automate", str(missing)) == 2
+    assert capsys.readouterr().err == f"error: TSG file not found: {missing}\n"
 
 
 def test_seed_omitted_is_config_error(tmp_path):
@@ -111,6 +127,14 @@ SPEC_HEADER = '{"component": "x", "constituent": "y"}\n'
         ("train", '{"text": 5, "label": "x"}\n', 1),
         ("train", '["a", "b"]\n', 1),
         ("train", '{"text": "a", "label": "x"}\n\n{"text": "b" "label": "x"}\n', 3),
+        ("train", '{"text": "a", "label": "x"}\n{"text": "   ", "label": "x"}\n', 2),
+        ("train", '{"text": "", "label": "x"}\n', 1),
+        (
+            "synthesize",
+            '{"component": "x", "constituent": "y", "preprocess": ["tag_clauses"]}\n'
+            '{"input": "if a then b", "output": "a"}\n{"input": "", "output": "a"}\n',
+            3,
+        ),
     ],
     ids=[
         "spec-header-not-object",
@@ -120,6 +144,9 @@ SPEC_HEADER = '{"component": "x", "constituent": "y"}\n'
         "corpus-text-not-string",
         "corpus-record-not-object",
         "corpus-json-syntax-after-blank",
+        "corpus-text-blank",
+        "corpus-text-empty",
+        "spec-tag-clauses-input-empty",
     ],
 )
 def test_malformed_record_is_input_error(tmp_path, capsys, command, body, line):
@@ -130,6 +157,24 @@ def test_malformed_record_is_input_error(tmp_path, capsys, command, body, line):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{line}: ")
     assert err.count(str(path)) == 1
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("train", b'{"text": "a", "label": "x"}\n' * 400 + b'{"text": "\xff", "label": "x"}\n'),
+        ("synthesize", SPEC_HEADER.encode() + b'{"input": "a\xff", "output": "a"}\n'),
+    ],
+    # The corpus is longer than one chunk of the text reader's decoding.
+    ids=["corpus", "spec"],
+)
+def test_input_that_is_not_utf8_names_the_line(tmp_path, capsys, command, body):
+    cfg = config_file(tmp_path)
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(body)
+    line = body.count(b"\n")
+    assert run("--config", cfg, "--seed", "1", command, str(path)) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: not UTF-8 text\n"
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +237,15 @@ def test_model_header_max_len_above_limit_is_input_error(tmp_path, capsys, artif
     path.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
     assert run("--config", cfg, "classify", "anything") == 2
     assert capsys.readouterr().err == f"error: {path}: max_len must be at most 1024\n"
+
+
+def test_guide_that_is_not_utf8_names_the_file(tmp_path, capsys, artifacts):
+    shutil.copytree(artifacts, tmp_path / "art")
+    cfg = config_file(tmp_path)
+    tsg = tmp_path / "t.md"
+    tsg.write_bytes(b"StormEvents | count\n\xff\n")
+    assert run("--config", cfg, "automate", str(tsg)) == 2
+    assert capsys.readouterr().err == f"error: {tsg}: not UTF-8 text\n"
 
 
 def test_config_value_of_wrong_type_names_line(tmp_path, capsys):
@@ -347,9 +401,10 @@ def test_parse_command(tmp_path, capsys):
     assert payload["constituents"]["subscription"] == "OPS9"
 
 
-def test_eval_k_larger_than_class_is_input_error(tmp_path):
+def test_eval_k_larger_than_class_is_input_error(tmp_path, capsys):
     cfg = config_file(tmp_path)
     assert run("--config", cfg, "--seed", "1", "eval", tiny_corpus(tmp_path), "--k", "9") == 2
+    assert capsys.readouterr().err == "error: class 'kusto' has 3 < k=9 examples\n"
 
 
 @pytest.mark.parametrize("knn_k", ["0", "-1"])

@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 
 from tsgkit.dsl import (
     ALPHABET,
-    CLASS_BY_NAME,
     AbsPos,
     Branch,
     ConstStr,
     EvalFailure,
     ExtractionProgram,
-    NoMatch,
-    OutOfRange,
     ParseError,
     Predicate,
     INDEX_CACHE_SIZE,
@@ -27,17 +24,12 @@ from tsgkit.dsl import (
 )
 from tsgkit.synthesis import DEFAULT_BOUNDS, positions_resolving_to, synthesize
 
-ALPHA = CLASS_BY_NAME["Alpha"]
-DOLLAR_WORD = CLASS_BY_NAME["DollarWord"]
-DOT = CLASS_BY_NAME["Dot"]
-WS = CLASS_BY_NAME["Whitespace"]
-
 
 def test_abs_positions():
     assert AbsPos(0).resolve("anything") == 0
     assert AbsPos(3).resolve("abcdef") == 3
     assert AbsPos(-1).resolve("abcdef") == 6
-    with pytest.raises(OutOfRange):
+    with pytest.raises(EvalFailure, match=r"^abs\(9\) outside \[0, 3\]$"):
         AbsPos(9).resolve("abc")
 
 
@@ -49,15 +41,15 @@ def test_abs_minus_one_is_length(s):
 def test_dollar_word_span():
     # First '$' up to the end of the first dollar-word: "$mb".
     s = "$mb = Get-Mailbox senderOrRecipientMailbox"
-    start = RegPos(None, DOLLAR_WORD, 1).resolve(s)
-    end = RegPos(DOLLAR_WORD, None, 1).resolve(s)
+    start = RegPos(None, "DollarWord", 1).resolve(s)
+    end = RegPos("DollarWord", None, 1).resolve(s)
     assert (start, end) == (0, 3)
     assert s[start:end] == "$mb"
 
 
 def test_last_dot_boundary():
     s = "cluster('A').database('b').AutoTriageIcmNer | sort"
-    idx = RegPos(DOT, None, -1).resolve(s)
+    idx = RegPos("Dot", None, -1).resolve(s)
     assert s[idx:].startswith("AutoTriageIcmNer")
     assert s[idx - 1] == "."
 
@@ -65,9 +57,9 @@ def test_last_dot_boundary():
 def test_two_sided_boundary_requires_both():
     s = "a b.c"
     # Alpha ends and Dot starts only at the '.' after 'b'.
-    assert RegPos(ALPHA, DOT, 1).resolve(s) == 3
-    with pytest.raises(NoMatch):
-        RegPos(ALPHA, DOT, 2).resolve(s)
+    assert RegPos("Alpha", "Dot", 1).resolve(s) == 3
+    with pytest.raises(EvalFailure, match=r"^pos\(Alpha,Dot,2\) has no boundary #2$"):
+        RegPos("Alpha", "Dot", 2).resolve(s)
 
 
 def test_const_atom():
@@ -85,7 +77,7 @@ def test_substring_start_after_end_fails():
 def test_kusto_table_prefix_program():
     prog = ExtractionProgram(
         default=Branch(
-            (SubStr(RegPos(CLASS_BY_NAME["StartAnchor"], ALPHA, 1), RegPos(None, WS, 1)),)
+            (SubStr(RegPos("StartAnchor", "Alpha", 1), RegPos(None, "Whitespace", 1)),)
         )
     )
     assert eval_program(prog, "TbaFilteringException | where time > ago(1d)") == (
@@ -94,17 +86,17 @@ def test_kusto_table_prefix_program():
 
 
 def test_adf_subscription_program():
-    slash = CLASS_BY_NAME["Slash"]
-    alnum = CLASS_BY_NAME["Alphanumeric"]
     prog = ExtractionProgram(
-        default=Branch((SubStr(RegPos(slash, alnum, -3), RegPos(alnum, slash, -2)),))
+        default=Branch(
+            (SubStr(RegPos("Slash", "Alphanumeric", -3), RegPos("Alphanumeric", "Slash", -2)),)
+        )
     )
     assert eval_program(prog, "https://adf.azure.com/subsc/SUB1/resourceGroups/rgA") == "SUB1"
 
 
 def test_switch_without_default_fails_when_nothing_matches():
     prog = ExtractionProgram(
-        ((Predicate("contains", DOT, 1), Branch((ConstStr("dot"),))),), default=None
+        ((Predicate("contains", "Dot", 1), Branch((ConstStr("dot"),))),), default=None
     )
     assert eval_program(prog, "a.b") == "dot"
     with pytest.raises(EvalFailure):
@@ -119,8 +111,8 @@ def test_program_needs_a_case_or_default():
 def test_switch_first_matching_case_wins():
     prog = ExtractionProgram(
         (
-            (Predicate("startswith", ALPHA), Branch((ConstStr("first"),))),
-            (Predicate("contains", ALPHA, 1), Branch((ConstStr("second"),))),
+            (Predicate("startswith", "Alpha"), Branch((ConstStr("first"),))),
+            (Predicate("contains", "Alpha", 1), Branch((ConstStr("second"),))),
         ),
         default=Branch((ConstStr("fallback"),)),
     )
@@ -130,48 +122,53 @@ def test_switch_first_matching_case_wins():
 
 
 def test_predicates():
-    assert Predicate("startswith", ALPHA).holds("abc 1")
-    assert not Predicate("startswith", ALPHA).holds("1abc")
-    assert Predicate("endswith", CLASS_BY_NAME["Digits"]).holds("x 42")
-    assert Predicate("contains", CLASS_BY_NAME["Pipe"], 2).holds("a | b | c")
-    assert not Predicate("contains", CLASS_BY_NAME["Pipe"], 2).holds("a | b")
+    assert Predicate("startswith", "Alpha").holds("abc 1")
+    assert not Predicate("startswith", "Alpha").holds("1abc")
+    assert Predicate("endswith", "Digits").holds("x 42")
+    assert Predicate("contains", "Pipe", 2).holds("a | b | c")
+    assert not Predicate("contains", "Pipe", 2).holds("a | b")
 
 
 # --- serialization -----------------------------------------------------------
 
 
+# Line breaks str.splitlines() splits on, and characters a string literal escapes.
+LINE_BREAKS = 'a\nb\rc\td"e\\f\x85g\u2028h'
+
 FIXTURE_PROGRAMS = [
     ExtractionProgram(default=Branch((ConstStr('say "hi"'),))),
     ExtractionProgram(default=Branch((SubStr(AbsPos(0), AbsPos(-1)),))),
     ExtractionProgram(
-        default=Branch((SubStr(RegPos(None, DOLLAR_WORD, 1), RegPos(DOLLAR_WORD, None, 1)),))
+        default=Branch((SubStr(RegPos(None, "DollarWord", 1), RegPos("DollarWord", None, 1)),))
     ),
     ExtractionProgram(
         default=Branch(
             (
                 ConstStr("-"),
-                SubStr(RegPos(WS, None, 2), RegPos(None, WS, -1)),
-                SubStr(RegPos(DOT, ALPHA, -1), AbsPos(-1)),
+                SubStr(RegPos("Whitespace", None, 2), RegPos(None, "Whitespace", -1)),
+                SubStr(RegPos("Dot", "Alpha", -1), AbsPos(-1)),
             )
         )
     ),
     ExtractionProgram(
         (
-            (Predicate("contains", CLASS_BY_NAME["Pipe"], 2), Branch((ConstStr("a"),))),
-            (Predicate("endswith", ALPHA), Branch((SubStr(AbsPos(0), AbsPos(2)),))),
+            (Predicate("contains", "Pipe", 2), Branch((ConstStr("a"),))),
+            (Predicate("endswith", "Alpha"), Branch((SubStr(AbsPos(0), AbsPos(2)),))),
         ),
         default=Branch((ConstStr("z"),)),
     ),
     ExtractionProgram(
-        ((Predicate("startswith", ALPHA), Branch((SubStr(AbsPos(0), AbsPos(1)),))),),
+        ((Predicate("startswith", "Alpha"), Branch((SubStr(AbsPos(0), AbsPos(1)),))),),
         default=None,
     ),
+    ExtractionProgram(default=Branch((ConstStr(LINE_BREAKS), SubStr(AbsPos(0), AbsPos(1))))),
 ]
 
 
 @pytest.mark.parametrize("prog", FIXTURE_PROGRAMS, ids=range(len(FIXTURE_PROGRAMS)))
 def test_serialize_parse_round_trip(prog):
     text = serialize(prog)
+    assert "\n" not in text and "\r" not in text
     again = parse(text)
     assert again == prog
     assert serialize(again) == text
@@ -213,6 +210,8 @@ def test_parse_error_carries_position():
         ("frob(1)", 4),
         ("sub(pos(NotAClass,eps,1),abs(0))", 17),
         ('const("unterminated)', 20),
+        ('const("a\\q")', 8),
+        ('const("dangling\\', 16),
         ("sub(abs(1),abs(2)) trailing", 19),
         ("sub( abs( -3 ),abs(  - 2))", 21),
         ("  ", 2),
@@ -264,7 +263,7 @@ def test_single_ranks_before_switch():
 
 def test_regpos_ranks_before_abspos():
     reg = ExtractionProgram(
-        default=Branch((SubStr(RegPos(None, ALPHA, 1), RegPos(ALPHA, None, 1)),))
+        default=Branch((SubStr(RegPos(None, "Alpha", 1), RegPos("Alpha", None, 1)),))
     )
     ab = ExtractionProgram(default=Branch((SubStr(AbsPos(0), AbsPos(3)),)))
     assert program_key(reg) < program_key(ab)
@@ -278,10 +277,10 @@ def test_const_ranks_last():
 
 def test_equal_score_falls_back_to_serialization():
     a = ExtractionProgram(
-        default=Branch((SubStr(RegPos(None, ALPHA, 1), RegPos(ALPHA, None, 1)),))
+        default=Branch((SubStr(RegPos(None, "Alpha", 1), RegPos("Alpha", None, 1)),))
     )
     b = ExtractionProgram(
-        default=Branch((SubStr(RegPos(None, ALPHA, 2), RegPos(ALPHA, None, 1)),))
+        default=Branch((SubStr(RegPos(None, "Alpha", 2), RegPos("Alpha", None, 1)),))
     )
     assert program_key(a)[:3] == program_key(b)[:3]
     assert (program_key(a) < program_key(b)) == (serialize(a) < serialize(b))
@@ -293,7 +292,7 @@ def test_equal_score_falls_back_to_serialization():
 
 @st.composite
 def substr_atoms(draw):
-    classes = draw(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=2))
+    classes = draw(st.lists(st.sampled_from(list(ALPHABET)), min_size=1, max_size=2))
     occ = draw(st.sampled_from([1, 2, -1, -2]))
     left = classes[0]
     right = classes[1] if len(classes) > 1 else None
@@ -312,7 +311,7 @@ def test_successful_substring_is_contiguous(atom, s):
 @given(st.text(max_size=40))
 def test_eval_total_result_or_evalfailure(s):
     prog = ExtractionProgram(
-        default=Branch((SubStr(RegPos(ALPHA, None, 1), RegPos(None, DOT, -1)),))
+        default=Branch((SubStr(RegPos("Alpha", None, 1), RegPos(None, "Dot", -1)),))
     )
     try:
         first = eval_program(prog, s)
@@ -327,7 +326,7 @@ def test_eval_total_result_or_evalfailure(s):
 # The index must give exactly what scanning each class's matches gives.  The
 # reference below re-runs `re.finditer` and sorts on every call.
 
-SIDES = (None,) + ALPHABET
+SIDES = (None, *ALPHABET)
 OCCURRENCES = (1, 2, 3, -1, -2, -3)
 
 index_text = st.lists(
@@ -341,29 +340,29 @@ index_text = st.lists(
 
 
 def reference_spans(s):
-    return {tc.name: [m.span() for m in re.finditer(tc.pattern, s)] for tc in ALPHABET}
+    return {name: [m.span() for m in re.finditer(p, s)] for name, p in ALPHABET.items()}
 
 
 def reference_boundaries(spans, left, right):
     if left is not None and right is not None:
-        ends = {e for _, e in spans[left.name]}
-        return sorted({b for b, _ in spans[right.name] if b in ends})
+        ends = {e for _, e in spans[left]}
+        return sorted({b for b, _ in spans[right] if b in ends})
     if left is not None:
-        return sorted({e for _, e in spans[left.name]})
-    return sorted({b for b, _ in spans[right.name]})
+        return sorted({e for _, e in spans[left]})
+    return sorted({b for b, _ in spans[right]})
 
 
 def reference_resolve(spans, pos):
     bs = reference_boundaries(spans, pos.left, pos.right)
     idx = pos.occurrence - 1 if pos.occurrence > 0 else len(bs) + pos.occurrence
-    return bs[idx] if 0 <= idx < len(bs) else NoMatch
+    return bs[idx] if 0 <= idx < len(bs) else EvalFailure
 
 
-def resolve_or_nomatch(pos, s):
+def resolve_or_failure(pos, s):
     try:
         return pos.resolve(s)
-    except NoMatch:
-        return NoMatch
+    except EvalFailure:
+        return EvalFailure
 
 
 def reg_positions():
@@ -379,7 +378,7 @@ def reg_positions():
 def test_boundary_index_matches_rescanning_reference(s):
     spans = reference_spans(s)
     for pos in reg_positions():
-        assert resolve_or_nomatch(pos, s) == reference_resolve(spans, pos), pos
+        assert resolve_or_failure(pos, s) == reference_resolve(spans, pos), pos
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,7 +397,7 @@ def test_positions_resolving_to_matches_brute_force(s):
             return reference_resolve(spans, p)
         try:
             return p.resolve(s)
-        except OutOfRange:
+        except EvalFailure:
             return None
 
     resolved = {p: reference(p) for p in candidates}
@@ -412,20 +411,19 @@ def test_positions_resolving_to_matches_brute_force(s):
 @given(index_text)
 def test_predicates_match_rescanning_reference(s):
     spans = reference_spans(s)
-    for tc in ALPHABET:
-        ms = spans[tc.name]
-        assert Predicate("startswith", tc).holds(s) == any(b == 0 for b, _ in ms)
-        assert Predicate("endswith", tc).holds(s) == any(e == len(s) for _, e in ms)
+    for name, ms in spans.items():
+        assert Predicate("startswith", name).holds(s) == any(b == 0 for b, _ in ms)
+        assert Predicate("endswith", name).holds(s) == any(e == len(s) for _, e in ms)
         for occ in range(1, DEFAULT_BOUNDS.max_occurrence + 1):
-            assert Predicate("contains", tc, occ).holds(s) == (len(ms) >= occ)
+            assert Predicate("contains", name, occ).holds(s) == (len(ms) >= occ)
 
 
 @given(index_text)
 def test_results_do_not_depend_on_the_cache(s):
     pos = [p for p in reg_positions() if p.occurrence in (1, -1)]
-    warm = [resolve_or_nomatch(p, s) for p in pos]
+    warm = [resolve_or_failure(p, s) for p in pos]
     boundary_index.cache_clear()
-    assert [resolve_or_nomatch(p, s) for p in pos] == warm
+    assert [resolve_or_failure(p, s) for p in pos] == warm
 
 
 ADVERSARIAL = (
@@ -452,7 +450,7 @@ def test_bundled_programs_survive_adversarial_input(bundled_specs, text):
 def test_index_cache_stays_bounded():
     assert boundary_index.cache_info().maxsize == INDEX_CACHE_SIZE
     prog = ExtractionProgram(
-        default=Branch((SubStr(RegPos(None, DOLLAR_WORD, 1), RegPos(DOLLAR_WORD, None, 1)),))
+        default=Branch((SubStr(RegPos(None, "DollarWord", 1), RegPos("DollarWord", None, 1)),))
     )
     for n in range(INDEX_CACHE_SIZE + 100):
         assert eval_program(prog, f"$v{n} = x") == f"$v{n}"

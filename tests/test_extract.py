@@ -122,6 +122,9 @@ def sample_registry():
 
 def test_registry_round_trip(tmp_path):
     reg = sample_registry()
+    # Line breaks str.splitlines() splits on, and characters a string literal escapes.
+    joined = ExtractionProgram(default=Branch((ConstStr('\n \r \t " \\ \x85 \u2028'),)))
+    reg.put(RegistryEntry("demo", "joined", joined, False, ()))
     path = tmp_path / "registry.txt"
     save_registry(reg, str(path))
     loaded = load_registry(str(path))
@@ -131,6 +134,7 @@ def test_registry_round_trip(tmp_path):
     assert [serialize(e.program) for e in loaded.entries] == [
         serialize(e.program) for e in reg.entries
     ]
+    assert loaded.entries[-1].program == joined
 
 
 def test_registry_round_trip_preserves_extraction(tmp_path):

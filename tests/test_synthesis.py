@@ -22,7 +22,6 @@ from tsgkit.synthesis import (
     DEFAULT_BOUNDS,
     Bounds,
     ExampleSpec,
-    NoOccurrence,
     SynthesisFailure,
     generate_atoms,
     synthesize,
@@ -37,7 +36,7 @@ def spec_of(pairs, negatives=(), component="t", name="c"):
 
 
 def test_generate_atoms_requires_occurrence():
-    with pytest.raises(NoOccurrence):
+    with pytest.raises(ValueError, match="output 'zzz' does not occur in input 'abc'"):
         generate_atoms("abc", "zzz")
 
 

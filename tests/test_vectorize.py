@@ -3,7 +3,6 @@ import pytest
 from conftest import read_golden
 from tsgkit.ingest import Statement, tokenize
 from tsgkit.vectorize import (
-    EmptyCorpus,
     bow,
     build_vocabulary,
     encode,
@@ -32,7 +31,7 @@ def test_min_freq_filters():
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ValueError, match="^cannot build a vocabulary from an empty corpus$"):
         build_vocabulary([])
 
 
