@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 DEFAULT_SUBORDINATORS = ("if", "when", "once", "in case", "unless")
 DEFAULT_SECOND_CLAUSE_SIGNALS = (
@@ -79,15 +80,20 @@ def _norm(token: str) -> str:
     return token.strip(".,;:!?\"'()").lower()
 
 
-def _phrase_at(words, i: int, phrase: str) -> int:
-    """Length in tokens of `phrase` matched at word index i, or 0."""
-    parts = phrase.split()
-    if i + len(parts) > len(words):
-        return 0
-    for off, part in enumerate(parts):
-        if _norm(words[i + off][0]) != part:
-            return 0
-    return len(parts)
+@lru_cache(maxsize=16)
+def _by_length(phrases: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """Each phrase's words, longest phrase first (ties keep lexicon order)."""
+    split = (tuple(p.split()) for p in phrases)
+    return tuple(sorted((w for w in split if w), key=lambda w: -len(w)))
+
+
+def _phrase_at(norms: tuple[str, ...], i: int, phrases: tuple[tuple[str, ...], ...]) -> int:
+    """Length in words of the first of `phrases` that the normalized words
+    match at index i < len(norms), or 0."""
+    for words in phrases:
+        if words[0] == norms[i] and norms[i : i + len(words)] == words:
+            return len(words)
+    return 0
 
 
 def _cl1_only(sentence: str, a: int, b: int) -> str:
@@ -103,11 +109,8 @@ def tag_clauses(sentence: str, lexicon: Lexicon = Lexicon()) -> str:
     if not words:
         return sentence
 
-    sub_len = 0
-    for phrase in sorted(lexicon.subordinators, key=lambda p: -len(p.split())):
-        sub_len = _phrase_at(words, 0, phrase)
-        if sub_len:
-            break
+    norms = tuple([_norm(w) for w, _, _ in words])
+    sub_len = _phrase_at(norms, 0, _by_length(lexicon.subordinators))
 
     rest = words[sub_len:]
     if not sub_len or not rest:
@@ -115,21 +118,14 @@ def tag_clauses(sentence: str, lexicon: Lexicon = Lexicon()) -> str:
 
     comma_pos = sentence.find(",", rest[0][1])
 
-    signals = sorted(lexicon.second_clause_signals, key=lambda p: -len(p.split()))
+    signals = _by_length(lexicon.second_clause_signals)
     # A signal at the very start of the remainder would leave the condition
     # empty, so the scan starts at the second remainder token.
     signal_pos = -1
-    i = 1
-    while i < len(rest):
-        matched = 0
-        for phrase in signals:
-            matched = _phrase_at(rest, i, phrase)
-            if matched:
-                break
-        if matched:
-            signal_pos = rest[i][1]
+    for i in range(sub_len + 1, len(words)):
+        if _phrase_at(norms, i, signals):
+            signal_pos = words[i][1]
             break
-        i += 1
 
     boundaries = [p for p in (comma_pos, signal_pos) if p >= 0]
     if not boundaries:

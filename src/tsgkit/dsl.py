@@ -284,11 +284,6 @@ def program_key(p: ExtractionProgram) -> tuple:
     return (n_branches, score, len(atoms), serialize(p))
 
 
-def atom_key(a: Atom) -> tuple:
-    """Ranking sort key: orders atoms as `program_key` orders their one-atom programs."""
-    return (_atom_score(a), _serialize_atom(a))
-
-
 # ---------------------------------------------------------------------------
 # Canonical serialization
 
@@ -331,6 +326,7 @@ def serialize(prog: ExtractionProgram) -> str:
 
 
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*|-?[0-9]+")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class _Parser:
@@ -363,6 +359,14 @@ class _Parser:
         self.i = m.end()
         return m.group(0)
 
+    def integer(self) -> int:
+        self.skip_ws()
+        m = _INT_RE.match(self.text, self.i)
+        if not m:
+            raise self.error("expected integer")
+        self.i = m.end()
+        return int(m.group(0))
+
     def string(self) -> str:
         """A JSON string literal."""
         self.expect('"')
@@ -388,7 +392,7 @@ class _Parser:
         w = self.word()
         if w == "abs":
             self.expect("(")
-            k = int(self.word())
+            k = self.integer()
             self.expect(")")
             return AbsPos(k)
         if w == "pos":
@@ -397,7 +401,7 @@ class _Parser:
             self.expect(",")
             right = self.token_class(allow_eps=True)
             self.expect(",")
-            occ = int(self.word())
+            occ = self.integer()
             self.expect(")")
             return RegPos(left, right, occ)
         raise self.error(f"expected position, got {w!r}")
@@ -434,7 +438,7 @@ class _Parser:
         occ = 1
         if w == "contains":
             self.expect(",")
-            occ = int(self.word())
+            occ = self.integer()
         self.expect(")")
         return Predicate(w, tc, occ)
 
@@ -479,7 +483,13 @@ class _Parser:
 
 def parse(text: str) -> ExtractionProgram:
     p = _Parser(text)
-    prog = p.program()
+    try:
+        prog = p.program()
+    except ParseError:
+        raise
+    except ValueError as exc:
+        # A node rejected its fields: an empty constant, occurrence 0, ...
+        raise p.error(str(exc)) from None
     p.skip_ws()
     if p.i != len(p.text):
         raise p.error("trailing input after program")

@@ -16,6 +16,13 @@ visits them largest first and, within a size, in index order, and takes
 the first predicate in candidate order: the order and tie-breaks of a
 largest-first `itertools.combinations` walk, so the programs are the same.
 
+A branch's atom for an output span is chosen from per-example position
+offsets, as FlashFill intersects start and end position sets: each
+candidate start and end position of the span in the first input is
+resolved once in every other input, and a start pairs with the ends that
+resolve to its offset plus that example's span length.  Atoms are never
+built one start x end pair at a time.
+
 Candidate positions for an offset come from the input's boundary index
 (`dsl.boundary_index`): the classes whose matches end or start there, and
 each class's or class pair's increasing boundaries, are looked up rather
@@ -37,11 +44,12 @@ from .dsl import (
     ConstStr,
     EvalFailure,
     ExtractionProgram,
+    PositionExpr,
     Predicate,
     RegPos,
     SubStr,
-    atom_key,
     boundary_index,
+    serialize_position,
 )
 
 
@@ -252,12 +260,69 @@ def _align_parts(out: str, parts: list[tuple[str, str]]) -> Optional[list[str]]:
     return slots
 
 
+def _resolved(p: PositionExpr, s: str) -> Optional[int]:
+    try:
+        return p.resolve(s)
+    except EvalFailure:
+        return None
+
+
+def _slot_atom(
+    first_in: str, others: list[tuple[str, str]], t0: str, bounds: Bounds
+) -> Optional[SubStr]:
+    """Top-ranked substring atom that yields t0 in first_in and, for each
+    (s, t) of `others`, t in s; or None.
+
+    For every occurrence of t0, each candidate position is resolved once per
+    other input.  End positions are grouped by the offsets they resolve to;
+    a start position that resolves to an offset i where t begins, in every
+    other input, pairs with the end positions at i + len(t).  The rank is
+    `program_key`'s for one-atom programs: the `abs` positions, then the
+    serialization, which orders as (start text, end text) because no
+    serialized position is a proper prefix of another.
+    """
+    best: Optional[tuple] = None
+    start = first_in.find(t0)
+    while start >= 0:
+        ends: dict[tuple[int, ...], tuple] = {}
+        for p2 in positions_resolving_to(first_in, start + len(t0), bounds):
+            offsets = []
+            for s, _ in others:
+                j = _resolved(p2, s)
+                if j is None:
+                    break
+                offsets.append(j)
+            else:
+                rank = (isinstance(p2, AbsPos), serialize_position(p2))
+                key = tuple(offsets)
+                if key not in ends or rank < ends[key][0]:
+                    ends[key] = (rank, p2)
+        if ends:
+            for p1 in positions_resolving_to(first_in, start, bounds):
+                offsets = []
+                for s, t in others:
+                    i = _resolved(p1, s)
+                    if i is None or not s.startswith(t, i):
+                        break
+                    offsets.append(i + len(t))
+                else:
+                    end = ends.get(tuple(offsets))
+                    if end is not None:
+                        (abs2, text2), p2 = end
+                        rank = (isinstance(p1, AbsPos) + abs2, serialize_position(p1), text2)
+                        if best is None or rank < best[0]:
+                            best = (rank, SubStr(p1, p2))
+        start = first_in.find(t0, start + 1)
+    return None if best is None else best[1]
+
+
 def _branch_for_pairs(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[Branch]:
     """Top-ranked branch reproducing every pair, or None.
 
     The first pair's output is split into input spans and constants; each
     span becomes the top-ranked atom that yields its aligned text in every
-    pair.  A one-part split is the whole output, which may be a constant.
+    pair.  A one-part split is the whole output, which is a constant when
+    no substring atom yields it and every pair's output is the same.
     """
     first_in, first_out = pairs[0]
     parts = _decompose(first_in, first_out)
@@ -280,18 +345,17 @@ def _branch_for_pairs(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[
             continue
         slot_texts = [slots[slot_idx] for slots in per_pair_slots]
         slot_idx += 1
-        if any(not t for t in slot_texts) or slot_texts[0] not in first_in:
+        t0 = slot_texts[0]
+        if any(not t for t in slot_texts) or t0 not in first_in:
             return None
-        cands = [
-            a
-            for a in generate_atoms(first_in, slot_texts[0], bounds)
-            if all(_produces(a, p[0], t) for p, t in zip(pairs[1:], slot_texts[1:]))
-        ]
-        if len(parts) > 1:
-            cands = [a for a in cands if not isinstance(a, ConstStr)]
-        if not cands:
+        others = [(p[0], t) for p, t in zip(pairs[1:], slot_texts[1:])]
+        atom: Optional[Atom] = _slot_atom(first_in, others, t0, bounds)
+        # A constant ranks after every substring atom.
+        if atom is None and len(parts) == 1 and all(t == t0 for t in slot_texts):
+            atom = ConstStr(t0)
+        if atom is None:
             return None
-        atoms.append(min(cands, key=atom_key))
+        atoms.append(atom)
     branch = Branch(tuple(atoms))
     if all(_produces(branch, i, o) for i, o in pairs):
         return branch

@@ -217,6 +217,12 @@ def test_parse_error_carries_position():
         ("  ", 2),
         ('switch(case(startswith(Alpha),const("a")),default(sub(abs(1),))', 61),
         ("sub(abs(1),abs(2))+  ", 21),
+        ("sub(abs(x),abs(1))", 8),
+        ("sub(pos(Alpha,eps,x),abs(0))", 18),
+        ('switch(case(contains(Pipe,x),const("a")))', 26),
+        ('const("")', 9),
+        ("sub(pos(Alpha,eps,0),abs(0))", 20),
+        ('switch(case(contains(Pipe,0),const("a")))', 28),
     ],
 )
 def test_parse_error_offsets(bad, position):

@@ -5,18 +5,23 @@ from itertools import combinations, islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_enum import consistent_single_atoms, oracle_best_single
 from tsgkit import synthesis
 from tsgkit.corpusgen import generate_corpus
 from tsgkit.dsl import (
+    AbsPos,
     Branch,
     ConstStr,
     EvalFailure,
     ExtractionProgram,
+    RegPos,
     eval_program,
     program_key,
     serialize,
+    serialize_position,
 )
 from tsgkit.synthesis import (
     DEFAULT_BOUNDS,
@@ -24,6 +29,7 @@ from tsgkit.synthesis import (
     ExampleSpec,
     SynthesisFailure,
     generate_atoms,
+    positions_resolving_to,
     synthesize,
 )
 
@@ -319,6 +325,77 @@ def test_branch_search_matches_two_step_reference(bundled_specs):
                     shapes["const" if got.startswith("const(") else "sub"] += 1
     # Every outcome occurs, a whole-output constant among them.
     assert min(shapes[k] for k in ("none", "multi", "const", "sub")) >= 1, shapes
+
+
+# Output shapes over a slot text t: the whole output, and spans joined by a
+# constant the inputs never hold.
+SLOT_FORMATS = ("{t}", "{t}#", "#{t}", "{t}#{t}")
+
+
+@st.composite
+def repeated_slot_pairs(draw):
+    """1-4 pairs whose slot text occurs two or more times in each input."""
+    fmt = draw(st.sampled_from(SLOT_FORMATS))
+    shared = draw(st.text("ab1", min_size=1, max_size=3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        # Mostly the shared text, so that equal outputs reach the constant.
+        t = shared if draw(st.integers(0, 3)) else draw(st.text("ab1", min_size=1, max_size=3))
+        fillers = draw(st.lists(st.text("ab1 .-", max_size=8), min_size=3, max_size=4))
+        pairs.append((t.join(fillers), fmt.format(t=t)))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_slot_pairs())
+def test_branch_search_matches_reference_on_repeated_slot_texts(pairs):
+    got = synthesis._branch_for_pairs(pairs, DEFAULT_BOUNDS)
+    assert branch_text(got) == branch_text(reference_branch(pairs))
+
+
+@given(st.text("ab1 .-$|", max_size=14))
+def test_serialized_positions_are_prefix_free(s):
+    # Ranking compares a start and an end position's texts in place of the
+    # text of the atom holding both; that needs no proper prefixes.
+    bounds = Bounds(max_occurrence=12, abs_window=12)
+    texts = {
+        serialize_position(p) for i in range(len(s) + 1) for p in positions_resolving_to(s, i, bounds)
+    }
+    for a in texts:
+        for b in texts:
+            assert a == b or not b.startswith(a), (a, b)
+
+
+def test_slot_search_resolves_each_position_once_per_example(monkeypatch):
+    # A product loop over start x end positions resolves each start many
+    # times; the bound allows one resolution per position and other example.
+    # Formats are grouped, so that atoms survive the first few examples.
+    pairs = sorted(
+        three_format_spec(kusto_rows(5), 10).pairs,
+        key=lambda pair: [bool(f.match(pair[0])) for f in KUSTO_FORMATS],
+        reverse=True,
+    )
+    first_in, first_out = pairs[0]
+    allowed = 0
+    start = first_in.find(first_out)
+    while start >= 0:
+        allowed += len(positions_resolving_to(first_in, start))
+        allowed += len(positions_resolving_to(first_in, start + len(first_out)))
+        start = first_in.find(first_out, start + 1)
+    allowed *= len(pairs) - 1
+
+    calls = collections.Counter()
+    for cls in (AbsPos, RegPos):
+        resolve = cls.resolve
+
+        def counting(self, s, resolve=resolve):
+            calls["resolve"] += 1
+            return resolve(self, s)
+
+        monkeypatch.setattr(cls, "resolve", counting)
+    # Three formats have no common branch, so no branch is verified.
+    assert synthesis._branch_for_pairs(pairs, DEFAULT_BOUNDS) is None
+    assert 0 < calls["resolve"] <= allowed
 
 
 # --- switch search: equivalence with the exhaustive subset walk ---------------
