@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .config import read_lines
+
 DEFAULT_SUBORDINATORS = ("if", "when", "once", "in case", "unless")
 DEFAULT_SECOND_CLAUSE_SIGNALS = (
     "then",
@@ -48,9 +50,7 @@ def load_lexicon(path: str) -> Lexicon:
     """
     sections: dict[str, list[str]] = {"subordinators": [], "second_clause_signals": []}
     current = None
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -47,8 +47,7 @@ def _coerce(name: str, raw: str):
 def load_config(path: str) -> Config:
     """Flat `key = value` text; '#' starts a comment."""
     cfg = Config()
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = read_lines(path)
     try:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -70,6 +69,18 @@ def data_path(name: str) -> str:
     return str(resources.files("tsgkit").joinpath("data", name))
 
 
+def read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, split on "\n" alone.
+
+    Text that is not UTF-8 raises ValueError naming `path:line`.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read().split("\n")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{_first_non_utf8_line(path)}: not UTF-8 text") from None
+
+
 def read_jsonl(path: str) -> list[tuple[int, Any]]:
     """(line number, record) for each non-blank line of a JSON-lines file.
 
@@ -77,25 +88,19 @@ def read_jsonl(path: str) -> list[tuple[int, Any]]:
     `path:line`.
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
         try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append((lineno, json.loads(line)))
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{path}:{lineno}: {exc.msg} at column {exc.colno}"
-                    ) from None
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}:{_first_non_utf8_line(path)}: not UTF-8 text") from None
+            records.append((lineno, json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc.msg} at column {exc.colno}") from None
     return records
 
 
 def _first_non_utf8_line(path: str) -> int:
-    # The text reader decodes ahead in chunks, so the line being read when
-    # decoding fails need not be the line that holds the bad bytes.
+    # The text reader decodes in chunks, and its error's offset counts from
+    # the start of the chunk, not of the file.
     with open(path, "rb") as fh:
         data = fh.read()
     try:

@@ -130,9 +130,14 @@ class AbsPos:
 
     k: int
 
-    def resolve(self, s: str) -> int:
+    def offset(self, s: str) -> Optional[int]:
+        """The offset this position picks in s, or None where it has none."""
         i = self.k if self.k >= 0 else len(s) + self.k + 1
-        if not 0 <= i <= len(s):
+        return i if 0 <= i <= len(s) else None
+
+    def resolve(self, s: str) -> int:
+        i = self.offset(s)
+        if i is None:
             raise EvalFailure(f"abs({self.k}) outside [0, {len(s)}]")
         return i
 
@@ -156,12 +161,17 @@ class RegPos:
         if self.occurrence == 0:
             raise ValueError("occurrence must be nonzero")
 
-    def resolve(self, s: str) -> int:
+    def offset(self, s: str) -> Optional[int]:
+        """The offset this position picks in s, or None where it has none."""
         bs = boundary_index(s).boundaries(self.left, self.right)
         idx = self.occurrence - 1 if self.occurrence > 0 else len(bs) + self.occurrence
-        if not 0 <= idx < len(bs):
+        return bs[idx] if 0 <= idx < len(bs) else None
+
+    def resolve(self, s: str) -> int:
+        i = self.offset(s)
+        if i is None:
             raise EvalFailure(f"{serialize_position(self)} has no boundary #{self.occurrence}")
-        return bs[idx]
+        return i
 
 
 PositionExpr = AbsPos | RegPos

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .clauses import Lexicon, tag_clauses
+from .config import read_lines
 from .dsl import EvalFailure, ExtractionProgram, eval_program, parse, serialize
 from .ingest import Statement, Warning_
 
@@ -59,10 +60,9 @@ def save_registry(registry: ParserRegistry, path: str) -> None:
 def load_registry(path: str) -> ParserRegistry:
     """Errors name `path:line`."""
     registry = ParserRegistry()
-    with open(path, encoding="utf-8") as fh:
-        # Only "\n" ends an entry: str.splitlines() would also split on
-        # characters a program constant may hold, such as U+2028.
-        lines = fh.read().split("\n")
+    # Only "\n" ends an entry, as read_lines splits: str.splitlines() would
+    # also split on characters a program constant may hold, such as U+2028.
+    lines = read_lines(path)
     if not lines or lines[0] != REGISTRY_HEADER:
         raise ValueError(f"{path}: not a parser registry file")
     try:

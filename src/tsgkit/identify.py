@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_lines
 from .ingest import Statement
 from .siamese import (
     DENSE_DIM, Hyper, SiameseModel, embed_batch, sample_pairs, similarity_from_embeddings, train,
@@ -118,8 +119,7 @@ def save_prototypes(protos: list[Prototype], path: str) -> None:
 def load_prototypes(path: str) -> list[Prototype]:
     """Errors name `path:line`; each vector must have DENSE_DIM values."""
     protos = []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_lines(path)
     try:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():

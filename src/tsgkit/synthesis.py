@@ -26,14 +26,26 @@ built one start x end pair at a time.
 Candidate positions for an offset come from the input's boundary index
 (`dsl.boundary_index`): the classes whose matches end or start there, and
 each class's or class pair's increasing boundaries, are looked up rather
-than rescanned, and the occurrence number is a binary search.
+than rescanned, and the occurrence number is a binary search.  One call
+memoizes them per (input, offset), as every subset it tries whose first
+input is the same asks for the same offsets; the memo is dropped when the
+call returns, so nothing is cached across calls.  Each position is
+resolved in the other inputs lazily, through the non-raising `offset`,
+stopping at the first input where it has none.
+
+The guards' truth table is built once per call: one bitmask per candidate
+predicate over the pairs and negatives, read from each string's boundary
+index by `Predicate.holds`'s rules.  `Predicate.holds` stays the
+definition; a property test checks the table against it.  A round's
+subsets are each mask and'ed with the mask of the uncovered pairs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cache
+from typing import Callable, Optional
 
 from .config import read_jsonl
 from .dsl import (
@@ -44,7 +56,6 @@ from .dsl import (
     ConstStr,
     EvalFailure,
     ExtractionProgram,
-    PositionExpr,
     Predicate,
     RegPos,
     SubStr,
@@ -260,15 +271,13 @@ def _align_parts(out: str, parts: list[tuple[str, str]]) -> Optional[list[str]]:
     return slots
 
 
-def _resolved(p: PositionExpr, s: str) -> Optional[int]:
-    try:
-        return p.resolve(s)
-    except EvalFailure:
-        return None
+# `positions(s, i)`: the candidate positions of offset i in s, as
+# `positions_resolving_to` lists them under the search's bounds.
+Positions = Callable[[str, int], list]
 
 
 def _slot_atom(
-    first_in: str, others: list[tuple[str, str]], t0: str, bounds: Bounds
+    first_in: str, others: list[tuple[str, str]], t0: str, positions: Positions
 ) -> Optional[SubStr]:
     """Top-ranked substring atom that yields t0 in first_in and, for each
     (s, t) of `others`, t in s; or None.
@@ -285,10 +294,10 @@ def _slot_atom(
     start = first_in.find(t0)
     while start >= 0:
         ends: dict[tuple[int, ...], tuple] = {}
-        for p2 in positions_resolving_to(first_in, start + len(t0), bounds):
+        for p2 in positions(first_in, start + len(t0)):
             offsets = []
             for s, _ in others:
-                j = _resolved(p2, s)
+                j = p2.offset(s)
                 if j is None:
                     break
                 offsets.append(j)
@@ -298,10 +307,10 @@ def _slot_atom(
                 if key not in ends or rank < ends[key][0]:
                     ends[key] = (rank, p2)
         if ends:
-            for p1 in positions_resolving_to(first_in, start, bounds):
+            for p1 in positions(first_in, start):
                 offsets = []
                 for s, t in others:
-                    i = _resolved(p1, s)
+                    i = p1.offset(s)
                     if i is None or not s.startswith(t, i):
                         break
                     offsets.append(i + len(t))
@@ -316,7 +325,9 @@ def _slot_atom(
     return None if best is None else best[1]
 
 
-def _branch_for_pairs(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[Branch]:
+def _branch_for_pairs(
+    pairs: list[tuple[str, str]], bounds: Bounds, positions: Positions
+) -> Optional[Branch]:
     """Top-ranked branch reproducing every pair, or None.
 
     The first pair's output is split into input spans and constants; each
@@ -349,7 +360,7 @@ def _branch_for_pairs(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[
         if any(not t for t in slot_texts) or t0 not in first_in:
             return None
         others = [(p[0], t) for p, t in zip(pairs[1:], slot_texts[1:])]
-        atom: Optional[Atom] = _slot_atom(first_in, others, t0, bounds)
+        atom: Optional[Atom] = _slot_atom(first_in, others, t0, positions)
         # A constant ranks after every substring atom.
         if atom is None and len(parts) == 1 and all(t == t0 for t in slot_texts):
             atom = ConstStr(t0)
@@ -366,13 +377,42 @@ def _branch_for_pairs(pairs: list[tuple[str, str]], bounds: Bounds) -> Optional[
 # Conditionals
 
 
-def _predicate_candidates(bounds: Bounds):
-    for kind in ("startswith", "endswith"):
-        for name in ALPHABET:
-            yield Predicate(kind, name)
-    for name in ALPHABET:
-        for occ in range(1, bounds.max_occurrence + 1):
-            yield Predicate("contains", name, occ)
+def _truth_table(strings: list[str], bounds: Bounds) -> list[tuple[tuple, int]]:
+    """Each candidate predicate, in candidate order, as its `Predicate`
+    arguments with the bitmask of the strings it holds on (bit i: strings[i]).
+
+    The bits are read from each string's boundary index in one pass over the
+    alphabet, by `Predicate.holds`'s rules: startswith(c) when c's first
+    start is 0, endswith(c) when its last end is len(s), contains(c, k) when
+    c has at least k starts.  contains(c, k) is listed only up to the most
+    starts c has in one string, as above that it holds on none.
+    """
+    first = dict.fromkeys(ALPHABET, 0)
+    last = dict.fromkeys(ALPHABET, 0)
+    counts: dict[str, list[tuple[int, int]]] = {c: [] for c in ALPHABET}
+    for i, s in enumerate(strings):
+        index = boundary_index(s)
+        bit = 1 << i
+        for c in ALPHABET:
+            starts = index.starts[c]
+            if starts:
+                if starts[0] == 0:
+                    first[c] |= bit
+                if index.ends[c][-1] == len(s):
+                    last[c] |= bit
+                counts[c].append((len(starts), bit))
+    table = [(("startswith", c), first[c]) for c in ALPHABET]
+    table += [(("endswith", c), last[c]) for c in ALPHABET]
+    for c, seen in counts.items():
+        top = min(bounds.max_occurrence, max((n for n, _ in seen), default=0))
+        for k in range(1, top + 1):
+            table.append((("contains", c, k), sum(bit for n, bit in seen if n >= k)))
+    return table
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of mask, increasing."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _program_succeeds(prog: ExtractionProgram, s: str) -> bool:
@@ -393,65 +433,72 @@ def synthesize(
     spec.validate()
     pairs = list(spec.pairs)
     negatives = list(spec.negatives)
+    # Candidate positions per (input, offset), shared by every subset this
+    # call tries; nothing outlives the call.
+    positions = cache(lambda s, i: positions_resolving_to(s, i, bounds))
 
-    single = _branch_for_pairs(pairs, bounds)
+    single = _branch_for_pairs(pairs, bounds, positions)
     if single is not None:
         prog = ExtractionProgram(default=single)
         if not any(_program_succeeds(prog, n) for n in negatives):
             _verify(prog, pairs, negatives)
             return prog
 
-    # The single attempt already tried the subset of all pairs.
-    branch_cache: dict[tuple[int, ...], Optional[Branch]] = {tuple(range(len(pairs))): single}
+    # Subsets of pairs are bitmasks: bit i stands for pairs[i].  The single
+    # attempt already tried the subset of all pairs.
+    everyone = (1 << len(pairs)) - 1
+    branch_cache: dict[int, Optional[Branch]] = {everyone: single}
 
-    def branch_for(subset: tuple[int, ...]) -> Optional[Branch]:
+    def branch_for(subset: int) -> Optional[Branch]:
         if subset not in branch_cache:
-            branch_cache[subset] = _branch_for_pairs([pairs[i] for i in subset], bounds)
+            branch_cache[subset] = _branch_for_pairs(
+                [pairs[i] for i in _members(subset)], bounds, positions
+            )
         return branch_cache[subset]
 
-    # Truth table, built once: the pairs each predicate holds on, for every
-    # candidate predicate that holds on no negative.
+    # The candidate predicates that hold on some pair and on no negative;
+    # negatives hold the bits above the pairs'.
     table = [
-        (pred, [i for i, (inp, _) in enumerate(pairs) if pred.holds(inp)])
-        for pred in _predicate_candidates(bounds)
-        if not any(pred.holds(n) for n in negatives)
+        (args, mask)
+        for args, mask in _truth_table([inp for inp, _ in pairs] + negatives, bounds)
+        if mask & everyone and not mask >> len(pairs)
     ]
 
-    remaining = list(range(len(pairs)))
+    left = everyone
     partitions: list[tuple[Optional[Predicate], Branch]] = []
-    while remaining:
+    while left:
         if len(partitions) >= bounds.max_branches:
             raise SynthesisFailure(
                 f"more than {bounds.max_branches} branches required",
-                [pairs[i] for i in remaining],
+                [pairs[i] for i in _members(left)],
             )
         # A case needs a predicate true on exactly its pairs among the
         # remaining ones and on no negative, so the only subsets that can be
         # accepted are those a predicate picks out, guarded by the first
         # predicate in candidate order that picks them out.  With no
         # negatives, all remaining pairs need no guard.
-        left = set(remaining)
-        guards: dict[tuple[int, ...], Optional[Predicate]] = {}
+        guards: dict[int, Optional[tuple]] = {}
         if not negatives:
-            guards[tuple(remaining)] = None
-        for pred, holds_on in table:
-            subset = tuple(i for i in holds_on if i in left)
+            guards[left] = None
+        for args, mask in table:
+            subset = mask & left
             if subset:
-                guards.setdefault(subset, pred)
+                guards.setdefault(subset, args)
         # Largest subset first, same-size subsets in index order: the order
         # combinations(remaining, size) emits them, so ties go to the
         # earliest example.
-        for subset in sorted(guards, key=lambda sub: (-len(sub), sub)):
+        for subset in sorted(guards, key=lambda sub: (-sub.bit_count(), _members(sub))):
             branch = branch_for(subset)
             if branch is not None:
                 break
         else:
             raise SynthesisFailure(
                 "no branch/predicate covers the remaining examples",
-                [pairs[i] for i in remaining],
+                [pairs[i] for i in _members(left)],
             )
-        partitions.append((guards[subset], branch))
-        remaining = [i for i in remaining if i not in subset]
+        args = guards[subset]
+        partitions.append((None if args is None else Predicate(*args), branch))
+        left &= ~subset
 
     # Only the last partition can be unguarded: it takes every remaining pair.
     if partitions[-1][0] is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .config import read_lines
 from .ingest import Statement
 
 PAD = 0
@@ -51,8 +52,7 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
 def load_vocabulary(path: str) -> Vocabulary:
     """Errors name `path:line`."""
     mapping: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_lines(path)
     try:
         for lineno, line in enumerate(lines, start=1):
             if line:

@@ -226,6 +226,34 @@ def test_corrupt_artifact_line_is_input_error(tmp_path, capsys, artifacts, name,
     assert err.count(str(path)) == 1
 
 
+@pytest.mark.parametrize(
+    "name", ["vocab.tsv", "protos.tsv", "registry.txt", "lexicon.txt"],
+    ids=["vocabulary", "prototypes", "registry", "lexicon"],
+)
+def test_artifact_that_is_not_utf8_names_the_line(tmp_path, capsys, artifacts, name):
+    shutil.copytree(artifacts, tmp_path / "art")
+    lexicon = tmp_path / "art" / "lexicon.txt"
+    lexicon.write_text("[subordinators]\nif\n[second_clause_signals]\nthen\n")
+    cfg = config_file(tmp_path, lexicon=lexicon)
+    path = tmp_path / "art" / name
+    lines = path.read_bytes().split(b"\n")
+    lines[1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    tsg = tmp_path / "t.md"
+    tsg.write_text("StormEvents | count\n")
+    assert run("--config", cfg, "automate", str(tsg)) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text\n"
+
+
+def test_config_that_is_not_utf8_is_config_error_naming_the_line(tmp_path, capsys):
+    cfg = config_file(tmp_path)
+    with open(cfg, "ab") as fh:
+        fh.write(b"# caf\xe9\nepochs = 3\n")
+    # config_file writes eight lines; the comment is the ninth.
+    assert run("--config", cfg, "classify", "anything") == 3
+    assert capsys.readouterr().err == f"config error: {cfg}:9: not UTF-8 text\n"
+
+
 def test_model_header_max_len_above_limit_is_input_error(tmp_path, capsys, artifacts):
     shutil.copytree(artifacts, tmp_path / "art")
     cfg = config_file(tmp_path)

@@ -1,5 +1,6 @@
 import collections
 import re
+import time
 from functools import cache
 from itertools import combinations, islice
 
@@ -12,11 +13,13 @@ from oracle_enum import consistent_single_atoms, oracle_best_single
 from tsgkit import synthesis
 from tsgkit.corpusgen import generate_corpus
 from tsgkit.dsl import (
+    ALPHABET,
     AbsPos,
     Branch,
     ConstStr,
     EvalFailure,
     ExtractionProgram,
+    Predicate,
     RegPos,
     eval_program,
     program_key,
@@ -36,6 +39,13 @@ from tsgkit.synthesis import (
 
 def spec_of(pairs, negatives=(), component="t", name="c"):
     return ExampleSpec(component, name, list(pairs), list(negatives))
+
+
+def learn_branch(pairs, bounds=DEFAULT_BOUNDS):
+    """`_branch_for_pairs` with candidate positions computed afresh."""
+    return synthesis._branch_for_pairs(
+        list(pairs), bounds, lambda s, i: positions_resolving_to(s, i, bounds)
+    )
 
 
 # --- atom generation ---------------------------------------------------------
@@ -315,7 +325,7 @@ def test_branch_search_matches_two_step_reference(bundled_specs):
     for spec in specs:
         for size in (1, 2, 3):
             for subset in islice(combinations(spec.pairs, size), 300):
-                got = branch_text(synthesis._branch_for_pairs(list(subset), DEFAULT_BOUNDS))
+                got = branch_text(learn_branch(subset))
                 assert got == branch_text(reference_branch(list(subset))), subset
                 if got is None:
                     shapes["none"] += 1
@@ -349,8 +359,7 @@ def repeated_slot_pairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(repeated_slot_pairs())
 def test_branch_search_matches_reference_on_repeated_slot_texts(pairs):
-    got = synthesis._branch_for_pairs(pairs, DEFAULT_BOUNDS)
-    assert branch_text(got) == branch_text(reference_branch(pairs))
+    assert branch_text(learn_branch(pairs)) == branch_text(reference_branch(pairs))
 
 
 @given(st.text("ab1 .-$|", max_size=14))
@@ -386,23 +395,33 @@ def test_slot_search_resolves_each_position_once_per_example(monkeypatch):
 
     calls = collections.Counter()
     for cls in (AbsPos, RegPos):
-        resolve = cls.resolve
+        offset = cls.offset
 
-        def counting(self, s, resolve=resolve):
-            calls["resolve"] += 1
-            return resolve(self, s)
+        def counting(self, s, offset=offset):
+            calls["offset"] += 1
+            return offset(self, s)
 
-        monkeypatch.setattr(cls, "resolve", counting)
+        monkeypatch.setattr(cls, "offset", counting)
     # Three formats have no common branch, so no branch is verified.
-    assert synthesis._branch_for_pairs(pairs, DEFAULT_BOUNDS) is None
-    assert 0 < calls["resolve"] <= allowed
+    assert learn_branch(pairs) is None
+    assert 0 < calls["offset"] <= allowed
 
 
 # --- switch search: equivalence with the exhaustive subset walk ---------------
 
 
+def predicate_candidates(bounds):
+    """Every candidate guard, in the order synthesis prefers them."""
+    for kind in ("startswith", "endswith"):
+        for name in ALPHABET:
+            yield Predicate(kind, name)
+    for name in ALPHABET:
+        for occ in range(1, bounds.max_occurrence + 1):
+            yield Predicate("contains", name, occ)
+
+
 def _find_predicate(true_on, false_on, bounds):
-    for pred in synthesis._predicate_candidates(bounds):
+    for pred in predicate_candidates(bounds):
         if all(pred.holds(s) for s in true_on) and not any(pred.holds(s) for s in false_on):
             return pred
     return None
@@ -413,9 +432,7 @@ def exhaustive_synthesize(spec, bounds=DEFAULT_BOUNDS):
     largest first and in `combinations` order, and takes the first one with a
     branch and a predicate separating it from the other pairs and negatives."""
     pairs, negatives = list(spec.pairs), list(spec.negatives)
-    branch_for = cache(
-        lambda subset: synthesis._branch_for_pairs([pairs[i] for i in subset], bounds)
-    )
+    branch_for = cache(lambda subset: learn_branch([pairs[i] for i in subset], bounds))
     single = branch_for(tuple(range(len(pairs))))
     if single is not None and not any(
         synthesis._program_succeeds(ExtractionProgram(default=single), n) for n in negatives
@@ -504,6 +521,17 @@ HAND_SPECS_WITH_NEGATIVES = {
         [("x: 5 ms", "5"), ("latency 300 ms", "300"), ("Retry 2", "2")],
         ["no number", "ms ms"],
     ),
+    # The first round has two two-pair cases, {0, 3} and {1, 2}: index
+    # order takes {0, 3} first, though its bitmask is the larger.
+    "equal_size_cases_in_index_order": (
+        [
+            ("T1 | count", "T1"),
+            ("let r = T3 | where a > 1", "T3"),
+            ("let q = Tab | where b > 2", "Tab"),
+            ("Tx2 | count", "Tx2"),
+        ],
+        ["123"],
+    ),
 }
 
 
@@ -529,6 +557,49 @@ def test_switch_search_matches_exhaustive_with_negatives(name):
     assert outcome(synthesize, spec) == outcome(exhaustive_synthesize, spec)
 
 
+# --- switch search: the predicate truth table ---------------------------------
+
+# Pieces that start, end or repeat every token class, clause markers among them.
+TABLE_PIECES = (
+    "a", "Zq", "7", "x9", " ", "\t", "\n", "$", "$v1", "-", "-f", ".", "/", "|",
+    "'", '"', "{", "}", ",", "=", "_", "<CL1>", "</CL1>", "<CL2>",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(TABLE_PIECES), max_size=12).map("".join), max_size=5),
+    st.integers(1, 4),
+)
+def test_truth_table_bits_match_predicate_holds(strings, max_occurrence):
+    # Pieces repeat, so strings often hold more matches than max_occurrence.
+    bounds = Bounds(max_occurrence=max_occurrence)
+    table = synthesis._truth_table(strings, bounds)
+    for args, mask in table:
+        pred = Predicate(*args)
+        for i, s in enumerate(strings):
+            assert bool(mask >> i & 1) == pred.holds(s), (pred, s)
+        assert not mask >> len(strings)
+    # Every candidate in candidate order, less the contains(c, k) that hold
+    # on no string.
+    assert [Predicate(*args) for args, _ in table] == [
+        p
+        for p in predicate_candidates(bounds)
+        if p.kind != "contains" or any(p.holds(s) for s in strings)
+    ]
+
+
+def test_synthesis_time_does_not_grow_with_max_occurrence(bundled_specs):
+    # kusto_table needs a switch, so the truth table is built; a contains(c, k)
+    # above every input's count of c can guard nothing.
+    spec = bundled_specs["kusto_table"]
+    want = serialize(synthesize(spec, Bounds(max_occurrence=100)))
+    t0 = time.perf_counter()
+    got = serialize(synthesize(spec, Bounds(max_occurrence=10**9)))
+    assert time.perf_counter() - t0 < 1.0
+    assert got == want
+
+
 # --- switch search: work per round --------------------------------------------
 
 # One call for the single-branch attempt, then per round at most one per
@@ -542,9 +613,9 @@ def branch_calls(monkeypatch):
     calls = []
     learn = synthesis._branch_for_pairs
 
-    def counting(pairs, bounds):
+    def counting(pairs, bounds, positions):
         calls.append(len(pairs))
-        return learn(pairs, bounds)
+        return learn(pairs, bounds, positions)
 
     monkeypatch.setattr(synthesis, "_branch_for_pairs", counting)
     return calls
@@ -557,6 +628,22 @@ def test_fifteen_example_switch_visits_only_predicate_subsets(branch_calls):
     for inp, out in spec.pairs:
         assert prog.eval(inp) == out
     assert len(branch_calls) <= 1 + PER_ROUND * len(prog.branches)
+
+
+def test_switch_search_derives_each_candidate_position_once(monkeypatch):
+    # Subsets that share a first input ask for the same offsets; the memo of
+    # one synthesize call answers every repeat.
+    calls = collections.Counter()
+    derive = synthesis.positions_resolving_to
+
+    def counting(s, i, bounds=DEFAULT_BOUNDS):
+        calls[s, i] += 1
+        return derive(s, i, bounds)
+
+    monkeypatch.setattr(synthesis, "positions_resolving_to", counting)
+    prog = synthesize(three_format_spec(kusto_rows(5), 15))
+    assert prog.cases
+    assert calls and max(calls.values()) == 1
 
 
 def test_uncoverable_spec_fails_after_one_round(branch_calls):
