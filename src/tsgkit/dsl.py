@@ -58,10 +58,14 @@ ALPHABET: dict[str, re.Pattern] = {
     )
 }
 
-# Distinct strings whose index is kept.  A pass of the benchmark's 204
-# guides evaluates about 400 distinct strings; one index of a 100-character
-# string takes about 5 KiB until synthesis asks for its offset map.
+# Distinct strings whose index is kept, and the longest string kept.  A
+# pass of the benchmark's 204 guides evaluates about 400 distinct strings of
+# at most 98 characters.  With the offset maps synthesis asks for, the index
+# of 128 characters took at most 34 KiB (tracemalloc) on random text dense
+# in class boundaries, so a full cache stays near 64 MiB.  A longer string
+# is indexed again on each use (about 0.15 ms at 300 characters).
 INDEX_CACHE_SIZE = 2048
+INDEX_CACHE_MAX_LEN = 128
 
 
 class BoundaryIndex:
@@ -118,10 +122,17 @@ def _classes_by_offset(offsets: dict[str, tuple[int, ...]]) -> dict[int, tuple[s
     return {i: tuple(names) for i, names in by_offset.items()}
 
 
-@lru_cache(maxsize=INDEX_CACHE_SIZE)
+_cached_index = lru_cache(maxsize=INDEX_CACHE_SIZE)(BoundaryIndex)
+
+
 def boundary_index(s: str) -> BoundaryIndex:
-    """The boundary index of s, built once per string while it stays cached."""
-    return BoundaryIndex(s)
+    """The boundary index of s, built once per string while it stays cached;
+    a string longer than `INDEX_CACHE_MAX_LEN` is indexed on every call."""
+    return BoundaryIndex(s) if len(s) > INDEX_CACHE_MAX_LEN else _cached_index(s)
+
+
+boundary_index.cache_clear = _cached_index.cache_clear
+boundary_index.cache_info = _cached_index.cache_info
 
 
 @dataclass(frozen=True)

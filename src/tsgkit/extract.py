@@ -9,6 +9,7 @@ failures are recorded as data (the `missing` set), never raised.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .clauses import Lexicon, tag_clauses
@@ -91,26 +92,14 @@ class ParsedComponent:
     missing: set[str] = field(default_factory=set)
 
 
+# One segment: runs of plain characters and quoted strings, where a quote
+# left open runs to the end of the text.
+_PIPE_SEGMENT_RE = re.compile(r"""(?:[^|"']+|"[^"]*"?|'[^']*'?)+""")
+
+
 def split_pipes(text: str) -> list[str]:
     """Split on top-level '|' outside single/double quotes; segments trimmed."""
-    segments: list[str] = []
-    buf: list[str] = []
-    quote = ""
-    for ch in text:
-        if quote:
-            buf.append(ch)
-            if ch == quote:
-                quote = ""
-        elif ch in "\"'":
-            quote = ch
-            buf.append(ch)
-        elif ch == "|":
-            segments.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-    segments.append("".join(buf).strip())
-    return [s for s in segments if s]
+    return [seg for seg in map(str.strip, _PIPE_SEGMENT_RE.findall(text)) if seg]
 
 
 def extract_repeating(

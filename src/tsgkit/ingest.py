@@ -118,13 +118,11 @@ _CAMEL_SPLIT_RE = re.compile(r"(?<=[a-z])(?=[A-Z])")
 
 def _split_words_and_punct(fragment: str) -> list[str]:
     tokens = []
-    for m in _WORD_OR_PUNCT_RE.finditer(fragment):
-        text = m.group(0)
-        if text.isalnum() and _CAMEL_SPLIT_RE.search(text):
-            tokens.append(text)
+    for text in _WORD_OR_PUNCT_RE.findall(fragment):
+        tokens.append(text)
+        # A lower-case word has no lower-to-upper step to split at.
+        if not text.islower() and _CAMEL_SPLIT_RE.search(text):
             tokens.extend(_CAMEL_SPLIT_RE.split(text))
-        else:
-            tokens.append(text)
     return tokens
 
 
@@ -155,8 +153,8 @@ def _tokenize_plain(text: str) -> list[str]:
             continue
         if after < len(text) and (text[after].isalnum() or text[after] == "-"):
             continue
-        tokens.extend(t.lower() for t in _split_words_and_punct(text[pos : cm.start()]))
-        tokens.append(cm.group(0).lower())
+        tokens += _split_words_and_punct(text[pos : cm.start()])
+        tokens.append(cm.group(0))
         pos = cm.end()
-    tokens.extend(t.lower() for t in _split_words_and_punct(text[pos:]))
-    return tokens
+    tokens += _split_words_and_punct(text[pos:])
+    return [t.lower() for t in tokens]

@@ -3,8 +3,9 @@ entries -> schematized JSON -> notebook-style workflow."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
+from math import inf
 
 from .clauses import Lexicon
 from .extract import ParsedComponent, ParserRegistry, extract
@@ -139,7 +140,40 @@ def schematized_to_json(s: SchematizedTSG) -> str:
             {"kind": w.kind, "message": w.message, "line": w.line} for w in s.warnings
         ],
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return _indented(payload) + "\n"
+
+
+def _indented(x: object, newline: str = "\n") -> str:
+    """`json.dumps(x, indent=2, ensure_ascii=False)`, byte for byte, for
+    str, list and str-keyed dict (exact types), int, float, bool and None.
+
+    Any `indent` makes `json` fall back to its pure-Python encoder; this
+    recursion formats the same text with its C string encoder.  `newline`
+    is a line break plus the indentation of the line that holds x.
+    """
+    t = type(x)
+    if t is str:
+        return encode_basestring(x)
+    if t is dict:
+        inner = newline + "  "
+        # encode_basestring raises TypeError for a key that is not a str.
+        items = [encode_basestring(k) + ": " + _indented(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if t is list:
+        inner = newline + "  "
+        items = [_indented(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if x is None:
+        return "null"
+    if t is bool:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        return float.__repr__(x) if -inf < x < inf else "Infinity" if x > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -220,4 +254,4 @@ def workflow_to_json(wf: Workflow) -> str:
             for c in wf.cells
         ]
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return _indented(payload) + "\n"

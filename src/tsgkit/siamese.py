@@ -311,12 +311,9 @@ def _pool2_backward(dout: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.n
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; each side takes the form that is exact there.
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _forward_batch(model: SiameseModel, xb: np.ndarray, ws: _Workspace) -> np.ndarray:

@@ -13,6 +13,7 @@ from tsgkit.dsl import (
     ExtractionProgram,
     ParseError,
     Predicate,
+    INDEX_CACHE_MAX_LEN,
     INDEX_CACHE_SIZE,
     RegPos,
     SubStr,
@@ -461,3 +462,10 @@ def test_index_cache_stays_bounded():
     for n in range(INDEX_CACHE_SIZE + 100):
         assert eval_program(prog, f"$v{n} = x") == f"$v{n}"
     assert boundary_index.cache_info().currsize <= INDEX_CACHE_SIZE
+    # A string longer than the cap is indexed, but not kept.
+    held = boundary_index.cache_info().currsize
+    long_line = "$long = " + "x" * 199_992
+    assert len(long_line) == 200_000 > INDEX_CACHE_MAX_LEN
+    assert eval_program(prog, long_line) == "$long"
+    assert boundary_index.cache_info().currsize <= held
+    assert boundary_index(long_line) is not boundary_index(long_line)

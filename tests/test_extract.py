@@ -1,6 +1,8 @@
 import importlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tsgkit.dsl import Branch, ConstStr, ExtractionProgram, parse, serialize
 from tsgkit.extract import (
@@ -46,6 +48,39 @@ def test_split_pipes_respects_quotes():
 
 def test_split_pipes_no_pipe():
     assert split_pipes("plain") == ["plain"]
+
+
+def reference_split_pipes(text):
+    """The character loop `split_pipes` replaced, kept as its reference."""
+    segments, buf, quote = [], [], ""
+    for ch in text:
+        if quote:
+            buf.append(ch)
+            if ch == quote:
+                quote = ""
+        elif ch in "\"'":
+            quote = ch
+            buf.append(ch)
+        elif ch == "|":
+            segments.append("".join(buf).strip())
+            buf = []
+        else:
+            buf.append(ch)
+    segments.append("".join(buf).strip())
+    return [s for s in segments if s]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "|", "||", "a || b", "| a |", "say 'open | x", 'a "b | c', "'a\"|'|\"b'|c", " \t|\n"],
+)
+def test_split_pipes_edge_cases_match_reference(text):
+    assert split_pipes(text) == reference_split_pipes(text)
+
+
+@given(st.text(alphabet="ab |'\" x\t", max_size=24))
+def test_split_pipes_matches_reference(text):
+    assert split_pipes(text) == reference_split_pipes(text)
 
 
 # --- iterative extraction ----------------------------------------------------

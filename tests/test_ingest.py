@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -280,3 +282,65 @@ def test_fixture_statement_tokens_idempotent():
         for tok in tokenize(raw):
             if "://" not in tok:
                 assert tokenize(tok) == [tok], tok
+
+
+# The tokenizer as it was before its fast path (finditer, a camel-case
+# search on every word, each token lowered where it is made): the
+# reference the tokenizer must match token for token.
+_REF_URL_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://\S+")
+_REF_COMMAND_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z][A-Za-z0-9]*)+")
+_REF_WORD_OR_PUNCT_RE = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
+_REF_CAMEL_SPLIT_RE = re.compile(r"(?<=[a-z])(?=[A-Z])")
+
+
+def _reference_split(fragment):
+    tokens = []
+    for m in _REF_WORD_OR_PUNCT_RE.finditer(fragment):
+        text = m.group(0)
+        tokens.append(text)
+        if text.isalnum() and _REF_CAMEL_SPLIT_RE.search(text):
+            tokens.extend(_REF_CAMEL_SPLIT_RE.split(text))
+    return tokens
+
+
+def _reference_plain(text):
+    tokens = []
+    pos = 0
+    for cm in _REF_COMMAND_RE.finditer(text):
+        before, after = cm.start() - 1, cm.end()
+        if before >= 0 and (text[before].isalnum() or text[before] == "-"):
+            continue
+        if after < len(text) and (text[after].isalnum() or text[after] == "-"):
+            continue
+        tokens.extend(t.lower() for t in _reference_split(text[pos : cm.start()]))
+        tokens.append(cm.group(0).lower())
+        pos = cm.end()
+    tokens.extend(t.lower() for t in _reference_split(text[pos:]))
+    return tokens
+
+
+def reference_tokenize(raw):
+    tokens = []
+    pos = 0
+    for um in _REF_URL_RE.finditer(raw):
+        tokens.extend(_reference_plain(raw[pos : um.start()]))
+        tokens.append(um.group(0))
+        pos = um.end()
+    tokens.extend(_reference_plain(raw[pos:]))
+    return tokens
+
+
+TOKEN_PIECES = (
+    "https://portal.example.com/a?B=c", "ftp://X.y", "Get-Item", "-Force", "Set-AzVM-x",
+    "senderOrRecipient", "HTTPServer", "ABC", "abc", "a1B2", "42", "3rd", "$env:Path",
+    "Überprüfen", "ǅemal", "İstanbul", "队列", "ß", "½", "\t", "\n", "\x00", " ", "-",
+    "|", "=", ".", "'", '"', "{", "}",
+)
+TOKEN_TEXT = st.lists(
+    st.one_of(st.sampled_from(TOKEN_PIECES), st.text(max_size=6)), min_size=1, max_size=8
+).map("".join).filter(bool)
+
+
+@given(TOKEN_TEXT)
+def test_tokenize_matches_reference(raw):
+    assert tokenize(raw) == reference_tokenize(raw)

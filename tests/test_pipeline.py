@@ -1,17 +1,20 @@
 import json
+import math
+from http import HTTPStatus
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_golden
-from tsgkit.corpusgen import CLASSES
+from tsgkit.corpusgen import CLASSES, generate_corpus
 from tsgkit.extract import ParsedComponent
 from tsgkit.identify import compute_prototypes
 from tsgkit.ingest import RawDocument, Statement, clean_document, tokenize
 from tsgkit.pipeline import (
     Entry,
     SchematizedTSG,
+    _indented,
     emit_workflow,
     schematize,
     schematized_to_json,
@@ -183,6 +186,63 @@ def test_workflow_json_shape(schema):
         assert cell["cell_type"] in ("code", "markdown")
         assert set(cell["metadata"]) == {"language_tag", "origin"}
         assert isinstance(cell["source"], list)
+
+
+# --- the indented JSON writer -------------------------------------------------
+
+JSON_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é日🙂/'), st.characters()),
+    max_size=6,
+)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([1e-07, 1e16, -0.0, 0.1, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    JSON_TEXT,
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES)
+def test_writer_matches_stdlib_indent(value):
+    assert _indented(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def test_writer_takes_number_subclasses_as_stdlib_does():
+    value = {"f": _Float(0.25), "i": HTTPStatus.OK, "n": [_Float("nan")]}
+    assert _indented(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize(
+    "value", [(1, 2), {1, 2}, b"x", {"a": [object()]}, {1: "a"}, [1j], [_Str("x")]]
+)
+def test_writer_rejects_unsupported_types(value):
+    with pytest.raises(TypeError):
+        _indented(value)
+
+
+def test_both_documents_match_stdlib_on_generated_guides(trained, registry):
+    model, vocab, protos = trained
+    rows = generate_corpus(11, 6)
+    for i in range(0, len(rows), 7):
+        text = "\n\n".join(t for t, _ in rows[i : i + 7]) + "\n{ unclosed"
+        schema = schematize(RawDocument(text, f"g{i}.md"), model, vocab, protos, registry)
+        for out in (schematized_to_json(schema), workflow_to_json(emit_workflow(schema))):
+            assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
 
 
 def test_schema_json_shape(schema):

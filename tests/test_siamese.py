@@ -24,6 +24,7 @@ from tsgkit.siamese import (
     _pair_grads_and_loss,
     _pool2,
     _pool2_backward,
+    _sigmoid,
     _Workspace,
     embed_batch,
     init_model,
@@ -82,6 +83,25 @@ def test_embed_golden_vector():
     with open(golden_path("embed_seed42.json")) as fh:
         want = np.array([float(v) for v in json.load(fh)])
     assert np.array_equal(got, want)
+
+
+def _masked_sigmoid(z):
+    """The boolean-mask form `_sigmoid` replaced, kept as its reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bits_match_masked_form():
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 36.0, 709.0, 745.0, 1e308, np.inf]
+    z = np.array(special + [-v for v in special] + [np.nan])
+    rng = np.random.default_rng(0)
+    for x in (z, rng.normal(0.0, 20.0, size=(12, 128))):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            assert np.array_equal(_sigmoid(x), _masked_sigmoid(x), equal_nan=True)
 
 
 def _direct_conv(x, w, b):
