@@ -81,6 +81,14 @@ def read_lines(path: str) -> list[str]:
             raise ValueError(f"{path}:{_first_non_utf8_line(path)}: not UTF-8 text") from None
 
 
+def parse_int(text: str, name: str) -> int:
+    """int(text), or a ValueError that names the field."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} is not an integer: {text!r}") from None
+
+
 def read_jsonl(path: str) -> list[tuple[int, Any]]:
     """(line number, record) for each non-blank line of a JSON-lines file.
 

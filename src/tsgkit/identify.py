@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_lines
+from .config import parse_int, read_lines
 from .ingest import Statement
 from .siamese import (
     DENSE_DIM, Hyper, SiameseModel, embed_batch, sample_pairs, similarity_from_embeddings, train,
@@ -124,11 +124,17 @@ def load_prototypes(path: str) -> list[Prototype]:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            label, count, values = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(
+                    "expected 3 tab-separated fields (label, support count, values), "
+                    f"got {len(fields)}"
+                )
+            label, count, values = fields
             vec = np.array(list(map(float, values.split(","))))
             if len(vec) != DENSE_DIM:
                 raise ValueError(f"prototype has {len(vec)} values, not {DENSE_DIM}")
-            protos.append(Prototype(label, vec, int(count)))
+            protos.append(Prototype(label, vec, parse_int(count, "support count")))
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
     return protos

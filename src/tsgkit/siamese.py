@@ -6,22 +6,42 @@ Architecture: embedding lookup -> conv(width 3, 64 filters, same padding)
 embeddings; training minimizes binary cross-entropy with Adam.  All
 arithmetic is float64 and fully deterministic given the seed.
 
-The embedding is folded into the first conv: it is computed once per
-distinct token of the batch (`_embed_conv1`), and its backward pass is a
-segment sum over those tokens, so no gradient is scatter-added.  A
-training step runs both twins of its B pairs as one 2B batch.
+Each layer is computed once per node, a distinct receptive field of that
+layer in the batch, not once per position.  The embedding is folded into
+conv1, which reads a table of the batch's distinct tokens and runs once
+per distinct (left, centre, right) token window (`_embed_conv1`).  The
+first max-pool runs once per distinct pair of conv1 nodes, conv2 once per
+distinct window of three pooled nodes, and the second pool once per
+distinct pair of conv2 nodes (`_pair_ids`, `_window_ids`); each row's
+global max reads its positions through the inverse index.  Statements are
+short and padded to `max_len`, so most windows repeat: over a `perfbench
+train` fit, 15% of the conv1 positions and 25% of the conv2 positions are
+distinct.  The backward pass adds each node's gradient once, through the
+same inverse indexes (`_scatter_add`), and runs conv2's GEMMs and conv1's
+token sums over the nodes.  A training step runs both twins of its B
+pairs as one 2B batch.
+
+The forward pass keeps the bits of a per-position pass: a node gets the
+operations each of its positions would, in the same order, and conv2's
+products run as GEMMs of L / 2 rows, the shape a per-position convolution
+of one row gives OpenBLAS, whose small-matrix kernel rounds otherwise
+than its large one.  So `embed_batch` on a given model gives the same
+bytes as the per-position layers did.  The backward pass sums the same
+terms in another order, so the gradients, and with them the trained
+bytes, moved at rounding level when the layers became node-wise: the
+seed-42 fit of `tsgkit train` by at most 2e-10 per parameter.
 
 Every large array that a forward pass, a backward pass and an Adam step
-write lives in a `_Workspace`: one per fit, sized for the largest batch,
-and one forward-only workspace per `embed_batch` call.  A smaller batch
-uses leading-axis views, and the layers write with `out=`, `np.copyto`
-and in-place operations.  The reason is the C allocator: when a step
-frees ~1 MB activations, it returns the top of the heap to the system,
-and the next step page-faults it back in, which cost 70k-375k minor
-faults and about a fifth of the time of a `perfbench train` fit.  The
-workspace computes each value with the operations fresh arrays would
-get, on the same operands in the same order, so the trained bytes do not
-depend on it.
+write lives in a `_Workspace`: one per fit, sized for a batch whose
+positions are all distinct, and one forward-only workspace per
+`embed_batch` call.  A pass uses leading views, and the layers write with
+`out=`, `np.copyto` and in-place operations.  The reason is the C
+allocator: when a step frees ~1 MB activations, it returns the top of the
+heap to the system, and the next step page-faults it back in.  A
+`perfbench train` fit now takes about 3,200 minor page faults (7,700 with
+per-position layers, 70k-375k before the workspace).  The workspace
+computes each value with the operations fresh arrays would get, on the
+same operands in the same order, so the trained bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -128,38 +148,41 @@ def _as_batch(xs: list[tuple[int, ...]]) -> np.ndarray:
 class _Workspace:
     """Preallocated arrays for passes over at most `n` index rows of width `length`.
 
-    Holds the forward buffers and, with `backward`, the backward buffers,
+    A pass computes each layer once per node, a distinct receptive field of
+    that layer, not once per position.  The node arrays are sized for a
+    batch whose positions are all distinct, and a pass uses their leading
+    rows.  With `backward`, the workspace also holds the backward buffers,
     one flat gradient vector `grad` in `_layout` order (`grads` holds its
-    per-tensor views) and Adam's two temporaries.  `xp2`, conv2's input,
-    and `dz1p`, conv1's output gradient, have the convolutions' same
-    padding as zero edges; `p1` and `dz1` are their interiors.  Nothing
-    writes the edges, nor the odd tail that pooling drops from `da2` and
-    `dz1`, so they stay zero.  `scratch1` and `scratch2` hold one layer's
-    short-lived values in turn: gathered conv1 taps or conv2 products, then
-    the ReLU output that pooling reads at once, then, in the backward pass,
-    gathered gradient rows or conv2 products again.  A forward pass leaves
-    the batch's distinct tokens in `uniq` and `inv` for the backward pass.
+    per-tensor views) and Adam's two temporaries.  `gathered`, `left`,
+    `right`, `x2` and `prod` hold one layer's short-lived values in turn.
+    A forward pass leaves each layer's nodes (`uniq`, `taps1`, `pool1`,
+    `taps2`, `pool2`) and `rowmax` for the backward pass.
     """
 
     def __init__(self, n: int, length: int, vocab_size: int, backward: bool = False):
         k, nf, e = KERNEL_WIDTH, CONV_FILTERS, EMBED_DIM
-        pad = (k - 1) // 2
         half, quarter = length // 2, length // 4
+        # Most nodes per layer: one per position that the next layer reads.
+        n1, n2, n3, n4 = n * 2 * half, n * half, n * 2 * quarter, n * quarter
         n_uniq = min(vocab_size, n * length)  # most distinct tokens in a batch
         self.eu = np.empty((n_uniq, e))
         self.wr = np.empty((k * nf, e))
         self.t = np.empty((n_uniq + 1, k * nf))
-        self.rows = np.empty((n, length + k - 1), dtype=np.int64)
-        self.taps = np.empty((n, length), dtype=np.int64)
-        self.scratch1 = np.empty((n, length, nf))
-        self.z1 = np.empty((n, length, nf))
-        self.mask1 = np.empty((n, half, nf), dtype=bool)
-        self.xp2 = np.zeros((n, half + k - 1, nf))
-        self.p1 = self.xp2[:, pad : pad + half]
-        self.z2 = np.empty((n, half, nf))
-        self.scratch2 = np.empty((n, half, nf))
-        self.mask2 = np.empty((n, quarter, nf), dtype=bool)
-        self.p2 = np.empty((n, quarter, nf))
+        self.rows1 = np.empty((n, length + k - 1), dtype=np.int64)
+        self.rows2 = np.empty((n, half + k - 1), dtype=np.int64)
+        self.z1 = np.empty((n1, nf))
+        self.gathered = np.empty((n1, nf))
+        self.left = np.empty((n2, nf))
+        self.right = np.empty((n2, nf))
+        self.p1 = np.empty((n2 + 1, nf))
+        self.mask1 = np.empty((n2, nf), dtype=bool)
+        # conv2 runs in blocks of `half` rows; n3 rounded up to a block fits in n2.
+        self.x2 = np.empty((n2, nf))
+        self.prod = np.empty((n2, nf))
+        self.z2 = np.empty((n2, nf))
+        self.p2 = np.empty((n4, nf))
+        self.mask2 = np.empty((n4, nf), dtype=bool)
+        self.rowmax = np.empty((n, quarter, nf))
         self.gmax = np.empty((n, nf))
         self.zd = np.empty((n, DENSE_DIM))
         if not backward:
@@ -169,145 +192,174 @@ class _Workspace:
         self.grad = np.empty(_n_params(vocab_size))
         self.grads = _views(self.grad, vocab_size)
         self.adam = np.empty((2, self.grad.size))
-        self.dp2 = np.empty((n, quarter, nf))
-        self.da2 = np.zeros((n, half, nf))
-        self.pos2 = np.empty((n, half, nf), dtype=bool)
-        self.cols = np.empty((n, half, nf))
-        self.dxp = np.empty((n, half + k - 1, nf))
-        self.dz1p = np.zeros((n, length + k - 1, nf))
-        self.dz1 = self.dz1p[:, k - 1 - pad : k - 1 - pad + length]
-        self.pos1 = np.empty((n, length, nf), dtype=bool)
-        self.dt = np.empty((n_uniq, k, nf))
+        self.flat = np.empty((n1, nf), dtype=np.int64)
+        self.dp2 = np.empty((n4, nf))
+        self.da2 = np.empty((n3, nf))
+        self.pos2 = np.empty((n3, nf), dtype=bool)
+        self.dp1 = np.empty((n2 + 1, nf))
+        self.da1 = np.empty((n1, nf))
+        self.pos1 = np.empty((n1, nf), dtype=bool)
+        self.dt = np.empty(((n_uniq + 1) * k, nf))
         self.deu = np.empty((n_uniq, e))
         self.dwr = np.empty((k * nf, e))
 
 
-def _conv_same(xp, w, b, out, tmp) -> np.ndarray:
-    """xp: [B, L + K - 1, C_in], the input with zero edges; w: [F, K, C_in].
+def _pair_ids(a: np.ndarray, b: np.ndarray, nb: int):
+    """The distinct pairs (a[i], b[i]) of two int64 arrays of one shape, with
+    0 <= a and 0 <= b < nb.
 
-    Writes the same-padded convolution into out [B, L, F] and returns it;
-    tmp [B, L, F] is scratch.  Computed as K shifted matmuls to avoid
-    materializing im2col windows.
+    Returns `first` and `second`, the values of each distinct pair in
+    sorted order, and `inv`, the index of each element's pair, shaped like
+    a.  The key a * nb + b stays below (max(a) + 1) * nb.  Callers pass
+    dense ids of one batch, each below its position count plus one, so a
+    key overflows int64 only past 3.03e9 positions.
     """
-    length = out.shape[1]
-    np.copyto(out, b)
-    for off in range(w.shape[1]):
-        out += np.matmul(xp[:, off : off + length, :], w[:, off, :].T, out=tmp)
-    return out
+    uniq, inv = np.unique(a * nb + b, return_inverse=True)
+    first, second = np.divmod(uniq, nb)
+    return first, second, inv.reshape(a.shape)
 
 
-def _conv_backward(dout, xp, w, dw, db, ws: _Workspace) -> np.ndarray:
-    """Writes dw and db of `_conv_same`; returns dx, a view into ws.dxp."""
-    k = w.shape[1]
-    pad = (k - 1) // 2
-    bsz, length, nf = dout.shape
-    dflat = dout.reshape(bsz * length, nf)
-    cols, tmp = ws.cols[:bsz], ws.scratch2[:bsz]
-    dxp = ws.dxp[:bsz]
-    dxp.fill(0.0)
-    for off in range(k):
-        np.copyto(cols, xp[:, off : off + length, :])
-        np.matmul(dflat.T, cols.reshape(bsz * length, -1), out=dw[:, off, :])
-        dxp[:, off : off + length, :] += np.matmul(dout, w[:, off, :], out=tmp)
-    np.sum(dflat, axis=0, out=db)
-    return dxp[:, pad : pad + length, :]
+def _window_ids(rows: np.ndarray, width: int, nb: int):
+    """The distinct windows rows[:, j : j + K] for j < width, of values below nb.
+
+    Returns `taps`, K arrays holding each distinct window's value at each
+    offset, and `inv` [n, width], the window index of each position.  The
+    key combines two ids at a time (`_pair_ids`); one key of all K values
+    would grow with the batch's position count to the power K.
+    """
+    first, second, inv = _pair_ids(rows[:, :width], rows[:, 1 : width + 1], nb)
+    taps = [first, second]
+    for off in range(2, KERNEL_WIDTH):
+        prefix, last, inv = _pair_ids(inv, rows[:, off : off + width], nb)
+        taps = [tap[prefix] for tap in taps] + [last]
+    return taps, inv
+
+
+def _scatter_add(dst: np.ndarray, idx: np.ndarray, src: np.ndarray, ws: _Workspace) -> None:
+    """dst[idx[i, f], f] += src[i, f] for every element of src [M, F], row by
+    row; idx is [M, 1] (whole rows) or [M, F].  dst and src are contiguous."""
+    nf = dst.shape[1]
+    flat = np.multiply(idx, nf, out=ws.flat[: len(src)])
+    flat += np.arange(nf)
+    np.add.at(dst.reshape(-1), flat.reshape(-1), src.reshape(-1))
 
 
 def _embed_conv1(emb: np.ndarray, w: np.ndarray, b: np.ndarray, xb: np.ndarray, ws: _Workspace):
-    """Embedding lookup followed by conv1 (same padding), folded together.
+    """Embedding lookup followed by conv1 (same padding), folded together, at
+    the positions that pooling reads.
 
-    xb: [B, L] token indices, emb: [V, E], w: [F, K, E] -> z [B, L, F].
-    With U the batch's distinct tokens, T = emb[U] . w has shape [U, K, F]
-    and z[n, l] = b + sum over off of T[token at l + off - pad, off]; a
-    position outside the sequence contributes 0 (a zero row appended to T).
-    A token costs one row of T however often it occurs, so padding-heavy
-    batches do far fewer FLOPs than K shifted matmuls over every position.
-    Returns z, a view into ws.z1, and leaves in ws what
-    `_embed_conv1_backward` needs.
+    xb: [B, L] token indices, emb: [V, E], w: [F, K, E].  With U the
+    batch's distinct tokens, T = emb[U] . w has shape [U, K, F], and the
+    output at position l is b + the sum over off of T[token at l + off -
+    pad, off]; a position outside the sequence contributes 0 (a zero row
+    appended to T).  That output depends only on the window of K tokens
+    around l, so it is computed once per distinct window.  Returns z [N,
+    F], one row per window of ws.taps1, a view into ws.z1; ws.inv1 [B, L
+    rounded down to even] holds each position's window.
     """
     nf, k, e = w.shape
     pad = (k - 1) // 2
     bsz, length = xb.shape
     uniq, inv = np.unique(xb, return_inverse=True)
     n_uniq = len(uniq)
-    ws.uniq, ws.inv = uniq, inv.reshape(xb.shape)
+    ws.uniq = uniq
     eu = np.take(emb, uniq, axis=0, out=ws.eu[:n_uniq], mode="clip")
     np.copyto(ws.wr.reshape(k, nf, e), w.transpose(1, 0, 2))  # row off * F + f
     t = ws.t[: n_uniq + 1]
     np.matmul(eu, ws.wr.T, out=t[:-1])
     t[-1] = 0.0
     t = t.reshape(-1, nf)  # row u * K + off; the last K rows are 0
-    # rows[n, j] = K * (distinct-token index at position j - pad), or K * U
-    # where j - pad lies outside the sequence.
-    rows = ws.rows[:bsz]
-    rows.fill(k * n_uniq)
-    np.multiply(ws.inv, k, out=rows[:, pad : pad + length])
-    z = ws.z1[:bsz]
+    # rows[n, j] is the distinct-token index at position j - pad, or U where
+    # j - pad lies outside the sequence.
+    rows = ws.rows1[:bsz]
+    rows.fill(n_uniq)
+    rows[:, pad : pad + length] = inv.reshape(xb.shape)
+    ws.taps1, ws.inv1 = _window_ids(rows, length // 2 * 2, n_uniq + 1)
+    z = ws.z1[: len(ws.taps1[0])]
     np.copyto(z, b)
-    taps, gathered = ws.taps[:bsz], ws.scratch1[:bsz]
-    for off in range(k):
-        np.add(rows[:, off : off + length], off, out=taps)
-        z += np.take(t, taps, axis=0, out=gathered, mode="clip")
+    for off, tap in enumerate(ws.taps1):
+        z += np.take(t, tap * k + off, axis=0, out=ws.gathered[: len(z)], mode="clip")
     return z
 
 
 def _embed_conv1_backward(w: np.ndarray, ws: _Workspace, grads: dict) -> None:
     """Gradients of `_embed_conv1` into grads' embedding, conv1_w and conv1_b.
 
-    dz is in ws.dz1, inside the zero edges of ws.dz1p.  dT[u, off] is the
-    sum of dz over the positions l whose tap off reads token u, a segment
-    sum over the positions sorted by token.  U holds each token once, so
+    dz, one row per window, is in ws.da1.  dT[u, off] is the sum of dz over
+    the windows whose tap off reads token u.  U holds each token once, so
     d embedding[U] = dT . w^T needs no scatter-add.
     """
-    uniq, inv = ws.uniq, ws.inv
+    uniq = ws.uniq
     n_uniq = len(uniq)
     nf, k, e = w.shape
-    bsz, length = inv.shape
-    # Row n * (L + K - 1) + p + K - 1 - off of dzp is dz[n, p + pad - off],
-    # or 0 where that position lies outside the sequence.
-    dzp = ws.dz1p[:bsz].reshape(-1, nf)
-    n_ix, p_ix = np.divmod(np.argsort(inv, axis=None, kind="stable"), length)
-    base = n_ix * (length + k - 1) + p_ix + (k - 1)
-    counts = np.bincount(inv.ravel())
-    starts = np.cumsum(counts) - counts
-    dt = ws.dt[:n_uniq]
-    gathered = ws.scratch1[:bsz].reshape(bsz * length, nf)
-    for off in range(k):
-        np.take(dzp, base - off, axis=0, out=gathered, mode="clip")
-        np.add.reduceat(gathered, starts, axis=0, out=dt[:, off, :])
-    dt = dt.reshape(n_uniq, k * nf)
+    dz = ws.da1[: len(ws.taps1[0])]
+    dt = ws.dt[: (n_uniq + 1) * k]  # row u * K + off; token U lies outside the sequence
+    dt.fill(0.0)
+    for off, tap in enumerate(ws.taps1):
+        _scatter_add(dt, (tap * k + off)[:, None], dz, ws)
+    dt = dt[: n_uniq * k].reshape(n_uniq, k * nf)
     dembedding = grads["embedding"]
     dembedding.fill(0.0)
     # Rows of the distinct tokens, each once.
     dembedding[uniq] = np.matmul(dt, ws.wr, out=ws.deu[:n_uniq])
     np.matmul(dt.T, ws.eu[:n_uniq], out=ws.dwr)
     np.copyto(grads["conv1_w"], ws.dwr.reshape(k, nf, e).transpose(1, 0, 2))
-    np.sum(ws.dz1[:bsz], axis=(0, 1), out=grads["conv1_b"])
+    np.sum(dz, axis=0, out=grads["conv1_b"])
 
 
-def _pool2(x: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
-    """Max pool width 2 stride 2 over axis 1 of x into out; odd tails are dropped.
+def _pool2(a: np.ndarray, inv: np.ndarray, out: np.ndarray, mask: np.ndarray, ws: _Workspace):
+    """Max pool width 2 stride 2 over the positions inv [B, 2M] of the nodes a,
+    once per distinct pair of nodes.
 
-    mask is set True where the first element of the window won; ties go to
-    the first, as argmax would.
+    Writes the pooled nodes into out and sets mask True where the pair's
+    first node won; ties go to the first, as argmax would.  Returns
+    (first, second, inv) of the pairs, as `_pair_ids` does.
     """
-    half = out.shape[1]
-    first, second = x[:, 0 : half * 2 : 2, :], x[:, 1 : half * 2 : 2, :]
-    np.maximum(first, second, out=out)
-    np.greater_equal(first, second, out=mask)
+    first, second, pinv = _pair_ids(inv[:, 0::2], inv[:, 1::2], len(a))
+    m = len(first)
+    x = np.take(a, first, axis=0, out=ws.left[:m], mode="clip")
+    y = np.take(a, second, axis=0, out=ws.right[:m], mode="clip")
+    np.maximum(x, y, out=out[:m])
+    np.greater_equal(x, y, out=mask[:m])
+    return first, second, pinv
 
 
-def _pool2_backward(dout: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Routes each window's gradient in dout to its winner in out, shaped as
-    the pool's input, and returns out.  An odd tail of out is not written;
-    the caller keeps it zero."""
-    half = dout.shape[1]
-    first, second = out[:, 0 : half * 2 : 2, :], out[:, 1 : half * 2 : 2, :]
-    first.fill(0.0)
-    np.copyto(first, dout, where=mask)
-    np.copyto(second, dout)
-    np.copyto(second, 0.0, where=mask)
-    return out
+def _pool2_backward(dout: np.ndarray, pairs, mask: np.ndarray, dx: np.ndarray, ws: _Workspace):
+    """Adds each pooled node's gradient in dout to the node that won it, in dx."""
+    first, second, _ = pairs
+    m = len(first)
+    routed = ws.left[:m]
+    routed.fill(0.0)
+    np.copyto(routed, dout, where=mask[:m])
+    _scatter_add(dx, first[:, None], routed, ws)
+    np.copyto(routed, dout)
+    np.copyto(routed, 0.0, where=mask[:m])
+    _scatter_add(dx, second[:, None], routed, ws)
+
+
+def _conv2(p1: np.ndarray, taps, w: np.ndarray, b: np.ndarray, block: int, ws: _Workspace):
+    """The same-padded conv2 once per distinct window of pooled nodes.
+
+    p1 [N + 1, C]: the pooled nodes and a zero last row for positions
+    outside the sequence; taps: K arrays of row indices into p1; w [F, K,
+    C].  Returns z [len(taps[0]), F], a view into ws.z2.  The products run
+    as GEMMs of `block` rows (the last one padded) against w[:, off, :].T.
+    With `block` = L / 2, that is the GEMM a convolution of one index row
+    runs, and OpenBLAS's small-matrix kernel rounds otherwise than its
+    large one, so each value gets the bits a per-row convolution gives it.
+    """
+    nf = w.shape[0]
+    n = len(taps[0])
+    n_pad = -(-n // block) * block
+    z, x = ws.z2[:n_pad], ws.x2[:n_pad]
+    np.copyto(z, b)
+    x[n:] = 0.0
+    for off, tap in enumerate(taps):
+        np.take(p1, tap, axis=0, out=x[:n], mode="clip")
+        z += np.matmul(
+            x.reshape(-1, block, nf), w[:, off, :].T, out=ws.prod[:n_pad].reshape(-1, block, nf)
+        ).reshape(n_pad, nf)
+    return z[:n]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -321,15 +373,25 @@ def _forward_batch(model: SiameseModel, xb: np.ndarray, ws: _Workspace) -> np.nd
     p = model.params
     if xb.min() < 0 or xb.max() >= model.vocab_size:
         raise ValueError(f"index outside [0, {model.vocab_size}) in input batch")
-    n = len(xb)
+    n, length = xb.shape
+    half = length // 2
+    pad = (KERNEL_WIDTH - 1) // 2
     z1 = _embed_conv1(p["embedding"], p["conv1_w"], p["conv1_b"], xb, ws)
-    a1 = np.maximum(z1, 0.0, out=ws.scratch1[:n])
-    _pool2(a1, ws.p1[:n], ws.mask1[:n])
-    z2 = _conv_same(ws.xp2[:n], p["conv2_w"], p["conv2_b"], ws.z2[:n], ws.scratch2[:n])
-    a2 = np.maximum(z2, 0.0, out=ws.scratch2[:n])
-    p2 = ws.p2[:n]
-    _pool2(a2, p2, ws.mask2[:n])
-    gmax = np.max(p2, axis=1, out=ws.gmax[:n])
+    a1 = np.maximum(z1, 0.0, out=ws.gathered[: len(z1)])
+    ws.pool1 = _pool2(a1, ws.inv1, ws.p1, ws.mask1, ws)
+    n_pool1 = len(ws.pool1[0])
+    p1 = ws.p1[: n_pool1 + 1]
+    p1[-1] = 0.0
+    rows = ws.rows2[:n]
+    rows.fill(n_pool1)
+    rows[:, pad : pad + half] = ws.pool1[2]
+    ws.taps2, inv2 = _window_ids(rows, length // 4 * 2, n_pool1 + 1)
+    z2 = _conv2(p1, ws.taps2, p["conv2_w"], p["conv2_b"], half, ws)
+    a2 = np.maximum(z2, 0.0, out=ws.prod[: len(z2)])
+    ws.pool2 = _pool2(a2, inv2, ws.p2, ws.mask2, ws)
+    # Each row's pooled positions, read through their nodes.
+    rowmax = np.take(ws.p2, ws.pool2[2], axis=0, out=ws.rowmax[:n], mode="clip")
+    gmax = np.max(rowmax, axis=1, out=ws.gmax[:n])
     zd = np.matmul(gmax, p["dense_w"], out=ws.zd[:n])
     zd += p["dense_b"]
     return _sigmoid(zd)
@@ -339,22 +401,39 @@ def _backward_batch(
     model: SiameseModel, ws: _Workspace, out: np.ndarray, dout: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Gradients of the batch `_forward_batch` last ran in ws, given out and
-    dL/d out; the values are views into ws.grad."""
+    dL/d out; the values are views into ws.grad.  Each node's gradient is
+    the sum over the positions it stands for, added once per node."""
     p, grads = model.params, ws.grads
     n = len(out)
     dzd = dout * out * (1.0 - out)
     np.matmul(ws.gmax[:n].T, dzd, out=grads["dense_w"])
     np.sum(dzd, axis=0, out=grads["dense_b"])
     dgmax = dzd @ p["dense_w"].T  # [B, F]
-    p2, dp2 = ws.p2[:n], ws.dp2[:n]
+    # A row's max gradient goes to the node at its first position reaching the max.
+    winners = np.take_along_axis(ws.pool2[2], ws.rowmax[:n].argmax(axis=1), axis=1)
+    dp2 = ws.dp2[: len(ws.pool2[0])]
     dp2.fill(0.0)
-    b_ix, f_ix = np.ogrid[:n, : dgmax.shape[1]]
-    dp2[b_ix, p2.argmax(axis=1), f_ix] = dgmax
-    da2 = _pool2_backward(dp2, ws.mask2[:n], ws.da2[:n])
-    dz2 = np.multiply(da2, np.greater(ws.z2[:n], 0, out=ws.pos2[:n]), out=da2)
-    dp1 = _conv_backward(dz2, ws.xp2[:n], p["conv2_w"], grads["conv2_w"], grads["conv2_b"], ws)
-    da1 = _pool2_backward(dp1, ws.mask1[:n], ws.dz1[:n])
-    np.multiply(da1, np.greater(ws.z1[:n], 0, out=ws.pos1[:n]), out=da1)
+    _scatter_add(dp2, winners, dgmax, ws)
+    n_conv2 = len(ws.taps2[0])
+    dz2 = ws.da2[:n_conv2]
+    dz2.fill(0.0)
+    _pool2_backward(dp2, ws.pool2, ws.mask2, dz2, ws)
+    dz2 *= np.greater(ws.z2[:n_conv2], 0, out=ws.pos2[:n_conv2])
+    n_pool1 = len(ws.pool1[0])
+    p1, dp1 = ws.p1[: n_pool1 + 1], ws.dp1[: n_pool1 + 1]
+    dp1.fill(0.0)
+    x, g = ws.x2[:n_conv2], ws.prod[:n_conv2]
+    w2 = p["conv2_w"]
+    for off, tap in enumerate(ws.taps2):
+        np.take(p1, tap, axis=0, out=x, mode="clip")
+        np.matmul(dz2.T, x, out=grads["conv2_w"][:, off, :])
+        _scatter_add(dp1, tap[:, None], np.matmul(dz2, w2[:, off, :], out=g), ws)
+    np.sum(dz2, axis=0, out=grads["conv2_b"])
+    n_conv1 = len(ws.taps1[0])
+    dz1 = ws.da1[:n_conv1]
+    dz1.fill(0.0)
+    _pool2_backward(dp1[:n_pool1], ws.pool1, ws.mask1, dz1, ws)
+    dz1 *= np.greater(ws.z1[:n_conv1], 0, out=ws.pos1[:n_conv1])
     _embed_conv1_backward(p["conv1_w"], ws, grads)
     return grads
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .config import read_lines
+from .config import parse_int, read_lines
 from .ingest import Statement
 
 PAD = 0
@@ -56,8 +56,13 @@ def load_vocabulary(path: str) -> Vocabulary:
     try:
         for lineno, line in enumerate(lines, start=1):
             if line:
-                tok, idx = line.rsplit("\t", 1)
-                mapping[tok] = int(idx)
+                fields = line.rsplit("\t", 1)
+                if len(fields) != 2:
+                    raise ValueError(
+                        f"expected 2 tab-separated fields (token, id), got {len(fields)}"
+                    )
+                tok, idx = fields
+                mapping[tok] = parse_int(idx, "id")
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
     return Vocabulary(mapping)

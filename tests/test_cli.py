@@ -227,6 +227,43 @@ def test_corrupt_artifact_line_is_input_error(tmp_path, capsys, artifacts, name,
 
 
 @pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        (
+            "vocab.tsv",
+            lambda text: text.replace("\t", " "),
+            "expected 2 tab-separated fields (token, id), got 1",
+        ),
+        ("vocab.tsv", lambda text: text.split("\t")[0] + "\t7.5", "id is not an integer: '7.5'"),
+        (
+            "protos.tsv",
+            lambda text: text + "\textra",
+            "expected 3 tab-separated fields (label, support count, values), got 4",
+        ),
+        (
+            "protos.tsv",
+            lambda text: text.replace("\t", "\tmany", 1),
+            "support count is not an integer: 'many3'",
+        ),
+    ],
+    ids=["vocab-fields", "vocab-id", "prototype-fields", "prototype-count"],
+)
+def test_artifact_loader_error_names_the_format(
+    tmp_path, capsys, artifacts, name, corrupt, message
+):
+    shutil.copytree(artifacts, tmp_path / "art")
+    cfg = config_file(tmp_path)
+    path = tmp_path / "art" / name
+    lines = path.read_text().split("\n")
+    lines[1] = corrupt(lines[1])
+    path.write_text("\n".join(lines))
+    tsg = tmp_path / "t.md"
+    tsg.write_text("StormEvents | count\n")
+    assert run("--config", cfg, "automate", str(tsg)) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+
+
+@pytest.mark.parametrize(
     "name", ["vocab.tsv", "protos.tsv", "registry.txt", "lexicon.txt"],
     ids=["vocabulary", "prototypes", "registry", "lexicon"],
 )

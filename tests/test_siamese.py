@@ -9,10 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import siamese_reference
 import tsgkit
 from conftest import golden_path
 from tsgkit.config import data_path
 from tsgkit.siamese import (
+    CONV_FILTERS,
     DENSE_DIM,
     MAGIC,
     MAX_LEN_LIMIT,
@@ -22,6 +24,7 @@ from tsgkit.siamese import (
     _as_batch,
     _forward_batch,
     _pair_grads_and_loss,
+    _pair_ids,
     _pool2,
     _pool2_backward,
     _sigmoid,
@@ -149,7 +152,8 @@ def test_forward_matches_direct_conv_reference(max_len):
         ws = _Workspace(*xb.shape, vocab)
         out = _forward_batch(model, xb, ws)
         want_z1, want = _reference_forward(model, xb)
-        assert np.max(np.abs(ws.z1 - want_z1)) <= 1e-12
+        # Each position's conv1 value is its window's row; pooling drops an odd tail.
+        assert np.max(np.abs(ws.z1[ws.inv1] - want_z1[:, : max_len // 2 * 2])) <= 1e-12
         assert np.max(np.abs(out - want)) <= 1e-12
         batched = embed_batch(model, xs)
         for i, x in enumerate(xs):
@@ -162,12 +166,98 @@ def test_embed_batch_of_nothing_is_empty(mini_model):
 
 
 def test_pool_tie_routes_gradient_to_first_element():
-    x = np.array([[[2.0], [2.0], [1.0], [3.0], [5.0]]])  # windows (2, 2), (1, 3); 5 dropped
-    pooled, mask = np.empty((1, 2, 1)), np.empty((1, 2, 1), dtype=bool)
-    _pool2(x, pooled, mask)
-    assert pooled.ravel().tolist() == [2.0, 3.0]
-    grad = _pool2_backward(np.array([[[7.0], [9.0]]]), mask, np.zeros(x.shape))
-    assert grad.ravel().tolist() == [7.0, 0.0, 0.0, 9.0, 0.0]
+    # Nodes 0-4 hold 2, 2, 1, 3 and 5 in every filter; positions 0-3 read
+    # nodes 0-3, so the windows are (2, 2) and (1, 3).
+    ws = _Workspace(1, 8, 10, backward=True)
+    nodes = np.repeat([[2.0], [2.0], [1.0], [3.0], [5.0]], CONV_FILTERS, axis=1)
+    pooled, mask = np.empty((2, CONV_FILTERS)), np.empty((2, CONV_FILTERS), dtype=bool)
+    dout = np.repeat([[7.0], [9.0]], CONV_FILTERS, axis=1)
+    pairs = _pool2(nodes, np.array([[0, 1, 2, 3]]), pooled, mask, ws)
+    assert pooled[:, 0].tolist() == [2.0, 3.0]
+    grad = np.zeros(nodes.shape)
+    _pool2_backward(dout, pairs, mask, grad, ws)
+    assert (grad == [[7.0], [0.0], [0.0], [9.0], [0.0]]).all()
+    # A window whose two positions are one node gets its gradient once.
+    pairs = _pool2(nodes, np.array([[0, 0, 2, 3]]), pooled, mask, ws)
+    grad = np.zeros(nodes.shape)
+    _pool2_backward(dout, pairs, mask, grad, ws)
+    assert (grad == [[7.0], [0.0], [0.0], [9.0], [0.0]]).all()
+
+
+def _scaled_model(vocab, max_len, seed):
+    # Scale up the +-0.05 init so that activations are not tiny.
+    model = init_model(vocab, Hyper(max_len=max_len, seed=seed))
+    model.flat *= 10.0
+    return model
+
+
+def _reference_batches(rng, vocab, max_len):
+    """Padding-heavy rows, the same row twice, a row without padding, one row alone."""
+
+    def row(n):
+        return seq(*(int(v) for v in rng.integers(1, vocab, n)), max_len=max_len)
+
+    heavy = [row(int(rng.integers(0, 3))) for _ in range(6)]
+    mixed = [row(int(rng.integers(0, max_len + 1))) for _ in range(9)]
+    full = row(max_len)
+    return [heavy, mixed + [mixed[2], full], [full], [row(1)], heavy + mixed + [full] * 3]
+
+
+@pytest.mark.parametrize("max_len", [4, 5, 8, 11, 32])
+def test_forward_bits_match_per_position_reference(max_len):
+    rng = np.random.default_rng(100 + max_len)
+    for trial in range(4):
+        model = _scaled_model(30, max_len, trial)
+        for xs in _reference_batches(rng, 30, max_len):
+            want, _ = siamese_reference.forward(model.params, _as_batch(xs))
+            assert np.array_equal(embed_batch(model, xs), want)
+
+
+def _assert_grads_match_reference(model, ab, bb, yb):
+    got, got_losses = _pair_grads_and_loss(model, ab, bb, yb)
+    want, want_losses = siamese_reference.pair_grads_and_loss(model.params, ab, bb, yb)
+    assert np.array_equal(got_losses, want_losses)
+    for key, tensor in want.items():
+        err = np.max(np.abs(got[key] - tensor))
+        assert err <= 1e-12 * np.max(np.abs(tensor)), (key, err)
+
+
+@pytest.mark.parametrize("max_len", [4, 5, 8, 11, 32])
+def test_gradients_match_per_position_reference(max_len):
+    rng = np.random.default_rng(200 + max_len)
+    for trial in range(4):
+        model = _scaled_model(30, max_len, trial)
+        for xs in _reference_batches(rng, 30, max_len):
+            rows = _as_batch(xs if len(xs) > 1 else xs * 2)
+            half = len(rows) // 2
+            ab, bb = rows[:half], rows[half : 2 * half]
+            _assert_grads_match_reference(model, ab, bb, rng.integers(0, 2, half).astype(float))
+
+
+def test_global_max_tie_reaches_first_position_once():
+    # Deep padding gives a row many positions of one pooled node, and one
+    # statement in both twins gives two rows the same nodes.  So a row's max
+    # is reached at several positions; its gradient must reach the first of
+    # them once, not once per position or once per row sharing the node.
+    model = _scaled_model(12, 32, 2)
+    rows = _as_batch([seq(*row, max_len=32) for row in ((), (5,), (4, 7), (4, 7))])
+    _, saved = siamese_reference.forward(model.params, rows)
+    reached = (saved["p2"] == saved["gmax"][:, None, :]).sum(axis=1)
+    assert ((reached > 1) & (saved["gmax"] > 0)).sum() >= 20
+    _assert_grads_match_reference(model, rows[:2], rows[2:], np.array([1.0, 0.0]))
+
+
+def test_pair_ids_are_exact_at_the_id_bound():
+    # Ids combine two at a time: a key is at most (n * L) ** 2, which fits
+    # int64 up to 3.03e9 positions, far beyond any batch that fits in memory.
+    bound = 3_037_000_499  # floor(sqrt(2**63 - 1))
+    a = np.array([[bound - 1, 0, bound - 1], [5, bound - 1, 5]])
+    b = np.array([[bound - 1, bound - 1, 0], [7, bound - 1, 7]])
+    first, second, inv = _pair_ids(a, b, bound)
+    assert first.tolist() == [0, 5, bound - 1, bound - 1]
+    assert second.tolist() == [bound - 1, 7, 0, bound - 1]
+    assert inv.tolist() == [[3, 0, 2], [1, 3, 1]]
+    assert (first[inv] == a).all() and (second[inv] == b).all()
 
 
 # --- pair similarity and loss ------------------------------------------------
@@ -319,14 +409,13 @@ def test_workspace_reuse_leaves_no_stale_state(max_len):
         assert np.array_equal(got_losses, want_losses)
         for key in want:
             assert np.array_equal(got[key], want[key]), (bsz, key)
-    # Width-3 kernels: one zero edge on each side of conv2's input and of
-    # conv1's output gradient.
-    assert not shared.xp2[:, [0, -1]].any()
-    assert not shared.dz1p[:, [0, -1]].any()
-    if max_len % 2:
-        assert not shared.dz1[:, -1].any()
-    if max_len // 2 % 2:
-        assert not shared.da2[:, -1].any()
+    # The rows that stand for positions outside the sequence stay zero: T's
+    # last row for conv1, the row after the pooled nodes for conv2, and the
+    # rows that pad conv2's last GEMM block.
+    assert not shared.t[len(shared.uniq)].any()
+    n_pool1, n_conv2 = len(shared.pool1[0]), len(shared.taps2[0])
+    assert not shared.p1[n_pool1].any()
+    assert not shared.x2[n_conv2 : -(-n_conv2 // (max_len // 2)) * (max_len // 2)].any()
 
 
 def test_training_step_allocation_stays_small():
