@@ -212,6 +212,7 @@ def cmd_automate(args) -> int:
     workflow = emit_workflow(schema)
     stem = os.path.splitext(args.tsg)[0]
     out_dir = args.out_dir or os.path.dirname(args.tsg) or "."
+    os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, os.path.basename(stem))
     schema_path, workflow_path = base + ".schema.json", base + ".workflow.json"
     with open(schema_path, "w", encoding="utf-8") as fh:

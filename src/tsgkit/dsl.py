@@ -281,6 +281,7 @@ class ExtractionProgram:
         return tuple(bs)
 
 
+# Kept because perfbench/tracing.py wraps `extract.eval_program`, the name extraction calls.
 def eval_program(prog: ExtractionProgram, s: str) -> str:
     """Evaluate `prog` on `s`; raises EvalFailure, never anything else."""
     return prog.eval(s)

@@ -19,6 +19,10 @@ from .ingest import Statement, Warning_
 
 REGISTRY_HEADER = "# tsgkit parser registry v1"
 
+# The preprocess flags `_apply_preprocess` honours; spec and registry
+# loaders reject any other.
+PREPROCESS_FLAGS = ("split_pipes", "tag_clauses")
+
 
 @dataclass(frozen=True)
 class RegistryEntry:
@@ -70,14 +74,26 @@ def load_registry(path: str) -> ParserRegistry:
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            component, constituent, repeats, flags, text = line.split("\t", 4)
+            fields = line.split("\t", 4)
+            if len(fields) != 5:
+                raise ValueError(
+                    "expected 5 tab-separated fields (component, constituent, "
+                    f"repeats, preprocess, program), got {len(fields)}"
+                )
+            component, constituent, repeats, flags, text = fields
+            if repeats not in ("0", "1"):
+                raise ValueError(f"repeats must be 0 or 1, got {repeats!r}")
+            preprocess = () if flags == "-" else tuple(flags.split(","))
+            for flag in preprocess:
+                if flag not in PREPROCESS_FLAGS:
+                    raise ValueError(f"unknown preprocess flag {flag!r}")
             registry.put(
                 RegistryEntry(
                     component,
                     constituent,
                     parse(text),
                     repeats=repeats == "1",
-                    preprocess=() if flags == "-" else tuple(flags.split(",")),
+                    preprocess=preprocess,
                 )
             )
     except ValueError as exc:

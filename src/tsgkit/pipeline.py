@@ -23,7 +23,6 @@ REQUIRED_CONSTITUENTS: dict[str, tuple[str, ...]] = {
     "kusto": ("query",),
     "adf": ("subscription",),
     "jarvis": ("url",),
-    "natural_language": (),
 }
 
 LANGUAGE_TAGS: dict[str, str] = {
@@ -74,8 +73,7 @@ def _is_automatable(component: str, parsed: ParsedComponent) -> bool:
         return False
     if component == "natural_language":
         return "condition" in parsed.constituents
-    required = REQUIRED_CONSTITUENTS.get(component, ())
-    return not any(name in parsed.missing for name in required)
+    return not any(name in parsed.missing for name in REQUIRED_CONSTITUENTS[component])
 
 
 def schematize(
@@ -201,9 +199,7 @@ def _interleave_params(parsed: ParsedComponent) -> list[str]:
 
 def _code_source(entry: Entry) -> str:
     parsed = entry.parsed
-    if entry.component == "kusto":
-        return entry.raw
-    if entry.component in ("adf", "jarvis"):
+    if entry.component in ("kusto", "adf", "jarvis"):
         return entry.raw
     if entry.component == "natural_language":
         condition = parsed.constituents.get("condition", "")

@@ -62,6 +62,7 @@ from .dsl import (
     boundary_index,
     serialize_position,
 )
+from .extract import PREPROCESS_FLAGS
 
 
 class SynthesisFailure(Exception):
@@ -109,9 +110,6 @@ class ExampleSpec:
                 raise ValueError(f"empty output for input {inp!r}")
 
 
-VALID_PREPROCESS = ("split_pipes", "tag_clauses")
-
-
 def load_spec(path: str, lexicon=None) -> ExampleSpec:
     """Read a line-delimited spec file: header record, then example records.
 
@@ -134,7 +132,7 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
         )
     flags = tuple(header.get("preprocess", ()))
     for flag in flags:
-        if flag not in VALID_PREPROCESS:
+        if flag not in PREPROCESS_FLAGS:
             raise ValueError(f"{path}:{lineno}: unknown preprocess flag {flag!r}")
     pairs: list[tuple[str, str]] = []
     negatives: list[str] = []
@@ -204,21 +202,6 @@ def positions_resolving_to(s: str, i: int, bounds: Bounds = DEFAULT_BOUNDS) -> l
         for rt in right_classes:
             add(lt, rt)
     return out
-
-
-def generate_atoms(inp: str, out: str, bounds: Bounds = DEFAULT_BOUNDS) -> set[Atom]:
-    """Atoms consistent with one example, over every occurrence of the output."""
-    if not out or out not in inp:
-        raise ValueError(f"output {out!r} does not occur in input {inp!r}")
-    atoms: set[Atom] = {ConstStr(out)}
-    start = inp.find(out)
-    while start >= 0:
-        end = start + len(out)
-        for p1 in positions_resolving_to(inp, start, bounds):
-            for p2 in positions_resolving_to(inp, end, bounds):
-                atoms.add(SubStr(p1, p2))
-        start = inp.find(out, start + 1)
-    return atoms
 
 
 def _produces(expr: Atom | Branch | ExtractionProgram, inp: str, out: str) -> bool:

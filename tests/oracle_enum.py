@@ -4,6 +4,10 @@ Enumerates the *entire* bounded position space up front (rather than
 deriving positions from output spans like the synthesizer does), filters
 single-atom programs by evaluation on every pair, and applies the same
 ranking.  Written against the DSL only; no synthesizer internals.
+
+`generate_atoms` is a second reference: every atom consistent with one
+example, built one start x end pair at a time from `positions_resolving_to`,
+which the branch search avoids by intersecting per-example offsets.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from itertools import product
 from tsgkit.dsl import (
     ALPHABET,
     AbsPos,
+    Atom,
     Branch,
     ConstStr,
     EvalFailure,
@@ -21,7 +26,7 @@ from tsgkit.dsl import (
     SubStr,
     program_key,
 )
-from tsgkit.synthesis import Bounds, DEFAULT_BOUNDS
+from tsgkit.synthesis import Bounds, DEFAULT_BOUNDS, positions_resolving_to
 
 
 def enumerate_positions(bounds: Bounds = DEFAULT_BOUNDS):
@@ -83,3 +88,18 @@ def oracle_best_single(pairs, bounds: Bounds = DEFAULT_BOUNDS):
     if not atoms:
         return None
     return min((ExtractionProgram(default=Branch((a,))) for a in atoms), key=program_key)
+
+
+def generate_atoms(inp: str, out: str, bounds: Bounds = DEFAULT_BOUNDS) -> set[Atom]:
+    """Atoms consistent with one example, over every occurrence of the output."""
+    if not out or out not in inp:
+        raise ValueError(f"output {out!r} does not occur in input {inp!r}")
+    atoms: set[Atom] = {ConstStr(out)}
+    start = inp.find(out)
+    while start >= 0:
+        end = start + len(out)
+        for p1 in positions_resolving_to(inp, start, bounds):
+            for p2 in positions_resolving_to(inp, end, bounds):
+                atoms.add(SubStr(p1, p2))
+        start = inp.find(out, start + 1)
+    return atoms

@@ -122,6 +122,12 @@ SPEC_HEADER = '{"component": "x", "constituent": "y"}\n'
             '{"input": "a", "output": "a"}\n',
             1,
         ),
+        (
+            "synthesize",
+            '{"component": "x", "constituent": "y", "preprocess": ["bogus"]}\n'
+            '{"input": "a", "output": "a"}\n',
+            1,
+        ),
         ("synthesize", SPEC_HEADER + '{"input": "a", "output": }\n', 2),
         ("synthesize", SPEC_HEADER + '\n{"input": "a", "output": "a"}\n["a"]\n', 4),
         ("train", '{"text": 5, "label": "x"}\n', 1),
@@ -139,6 +145,7 @@ SPEC_HEADER = '{"component": "x", "constituent": "y"}\n'
     ids=[
         "spec-header-not-object",
         "spec-repeats-not-boolean",
+        "spec-unknown-preprocess-flag",
         "spec-json-syntax",
         "spec-example-not-object-after-blank",
         "corpus-text-not-string",
@@ -226,6 +233,13 @@ def test_corrupt_artifact_line_is_input_error(tmp_path, capsys, artifacts, name,
     assert err.count(str(path)) == 1
 
 
+def with_field(line, index, value):
+    """A registry line with its field `index` replaced."""
+    fields = line.split("\t", 4)
+    fields[index] = value
+    return "\t".join(fields)
+
+
 @pytest.mark.parametrize(
     "name, corrupt, message",
     [
@@ -245,8 +259,27 @@ def test_corrupt_artifact_line_is_input_error(tmp_path, capsys, artifacts, name,
             lambda text: text.replace("\t", "\tmany", 1),
             "support count is not an integer: 'many3'",
         ),
+        (
+            "registry.txt",
+            lambda text: "\t".join(text.split("\t")[:2]),
+            "expected 5 tab-separated fields (component, constituent, repeats, "
+            "preprocess, program), got 2",
+        ),
+        (
+            "registry.txt",
+            lambda text: with_field(text, 2, "x"),
+            "repeats must be 0 or 1, got 'x'",
+        ),
+        (
+            "registry.txt",
+            lambda text: with_field(text, 3, "tag_clauses,bogus"),
+            "unknown preprocess flag 'bogus'",
+        ),
     ],
-    ids=["vocab-fields", "vocab-id", "prototype-fields", "prototype-count"],
+    ids=[
+        "vocab-fields", "vocab-id", "prototype-fields", "prototype-count",
+        "registry-fields", "registry-repeats", "registry-flag",
+    ],
 )
 def test_artifact_loader_error_names_the_format(
     tmp_path, capsys, artifacts, name, corrupt, message
@@ -512,3 +545,14 @@ def test_automate_empty_file_succeeds(tmp_path):
     assert schema["entries"] == []
     workflow = json.loads((tmp_path / "empty.workflow.json").read_text())
     assert workflow["cells"] == []
+
+
+def test_automate_creates_the_out_dir(tmp_path, capsys, artifacts):
+    shutil.copytree(artifacts, tmp_path / "art")
+    cfg = config_file(tmp_path)
+    tsg = tmp_path / "t.md"
+    tsg.write_text("StormEvents | count\n")
+    out_dir = tmp_path / "new" / "out"
+    assert run("--config", cfg, "--quiet", "automate", str(tsg), "--out-dir", str(out_dir)) == 0
+    assert sorted(os.listdir(out_dir)) == ["t.schema.json", "t.workflow.json"]
+    assert capsys.readouterr().err == ""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_enum import consistent_single_atoms, oracle_best_single
+from oracle_enum import consistent_single_atoms, generate_atoms, oracle_best_single
 from tsgkit import synthesis
 from tsgkit.corpusgen import generate_corpus
 from tsgkit.dsl import (
@@ -31,7 +31,6 @@ from tsgkit.synthesis import (
     Bounds,
     ExampleSpec,
     SynthesisFailure,
-    generate_atoms,
     positions_resolving_to,
     synthesize,
 )
