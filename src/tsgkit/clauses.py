@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import read_lines
+from .config import numbered_lines
 
 DEFAULT_SUBORDINATORS = ("if", "when", "once", "in case", "unless")
 DEFAULT_SECOND_CLAUSE_SIGNALS = (
@@ -50,18 +50,19 @@ def load_lexicon(path: str) -> Lexicon:
     """
     sections: dict[str, list[str]] = {"subordinators": [], "second_clause_signals": []}
     current = None
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            if current not in sections:
-                raise ValueError(f"{path}:{lineno}: unknown lexicon section {current!r}")
-            continue
-        if current is None:
-            raise ValueError(f"{path}:{lineno}: lexicon phrase outside any section")
-        sections[current].append(line.lower())
+    with numbered_lines(path) as lines:
+        for _, raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                current = line[1:-1]
+                if current not in sections:
+                    raise ValueError(f"unknown lexicon section {current!r}")
+                continue
+            if current is None:
+                raise ValueError("lexicon phrase outside any section")
+            sections[current].append(line.lower())
     return Lexicon(
         subordinators=tuple(sections["subordinators"]),
         second_clause_signals=tuple(sections["second_clause_signals"]),

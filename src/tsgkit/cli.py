@@ -13,7 +13,7 @@ import sys
 
 from . import evalharness, synthesis
 from .clauses import Lexicon, load_lexicon
-from .config import Config, data_path, load_config
+from .config import Config, data_path, load_config, read_text
 from .dsl import serialize
 from .extract import (
     ParserRegistry,
@@ -135,7 +135,13 @@ def _load_artifacts(cfg: Config):
     for path in (cfg.vocab, cfg.model, cfg.prototypes):
         if not os.path.exists(path):
             raise ConfigError(f"model artifact not found: {path} (run `tsgkit train`)")
-    return load_vocabulary(cfg.vocab), load_model(cfg.model), load_prototypes(cfg.prototypes)
+    vocab, model = load_vocabulary(cfg.vocab), load_model(cfg.model)
+    bad = [i for i in vocab.token_to_index.values() if not 0 <= i < model.vocab_size]
+    if bad:
+        raise ValueError(
+            f"{cfg.vocab}: id {bad[0]} is outside the model's vocabulary of {model.vocab_size}"
+        )
+    return vocab, model, load_prototypes(cfg.prototypes)
 
 
 def _statement(text: str) -> Statement:
@@ -166,13 +172,13 @@ def cmd_synthesize(args) -> int:
         raise FileNotFoundError(f"spec file not found: {args.spec}")
     spec = synthesis.load_spec(args.spec, _lexicon(cfg))
     program = synthesis.synthesize(spec, bounds)
-    print(serialize(program))
     registry = (
         load_registry(cfg.registry) if os.path.exists(cfg.registry) else ParserRegistry()
     )
     registry.put(
         RegistryEntry(spec.component, spec.constituent_name, program, spec.repeats, spec.preprocess)
     )
+    print(serialize(program))
     os.makedirs(os.path.dirname(cfg.registry) or ".", exist_ok=True)
     save_registry(registry, cfg.registry)
     _say(args.quiet, f"updated {cfg.registry}")
@@ -203,11 +209,7 @@ def cmd_automate(args) -> int:
     if not os.path.exists(cfg.registry):
         raise ConfigError(f"registry not found: {cfg.registry}")
     registry = load_registry(cfg.registry)
-    with open(args.tsg, encoding="utf-8") as fh:
-        try:
-            doc = RawDocument(fh.read(), os.path.basename(args.tsg))
-        except UnicodeDecodeError:
-            raise ValueError(f"{args.tsg}: not UTF-8 text") from None
+    doc = RawDocument(read_text(args.tsg), os.path.basename(args.tsg))
     schema = schematize(doc, model, vocab, protos, registry, _lexicon(cfg))
     workflow = emit_workflow(schema)
     stem = os.path.splitext(args.tsg)[0]

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from importlib import resources
-from typing import Any, Optional
+from operator import length_hint
+from typing import Any, Iterable, Iterator, Optional
 
 
 @dataclass
@@ -47,9 +49,8 @@ def _coerce(name: str, raw: str):
 def load_config(path: str) -> Config:
     """Flat `key = value` text; '#' starts a comment."""
     cfg = Config()
-    lines = read_lines(path)
-    try:
-        for lineno, raw in enumerate(lines, start=1):
+    with numbered_lines(path) as lines:
+        for _, raw in lines:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -59,8 +60,6 @@ def load_config(path: str) -> Config:
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown key {key!r}")
             setattr(cfg, key, _coerce(key, value))
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 
@@ -69,16 +68,52 @@ def data_path(name: str) -> str:
     return str(resources.files("tsgkit").joinpath("data", name))
 
 
-def read_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 text file, split on "\n" alone.
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file, with "\r\n" and "\r" read as "\n".
 
     Text that is not UTF-8 raises ValueError naming `path:line`.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines() ends lines where this reader does; the bad byte
+        # is on the last line of the bytes before it and one more.
+        line = len((data[: exc.start] + b".").splitlines())
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+@contextmanager
+def numbered_lines(path: str) -> Iterator[Iterator[tuple[int, str]]]:
+    """(line number, line) for each line of a UTF-8 text file.
+
+    Only "\n" (after `read_text`) ends a line: str.splitlines() would also
+    split on characters a line may hold, such as U+2028.  A ValueError
+    raised in the with-block leaves it as `path:line: message`, naming the
+    line last yielded.
+    """
+    lines = read_text(path).split("\n")
+    rest = iter(lines)
+    try:
+        yield enumerate(rest, start=1)
+    except ValueError as exc:
+        # A list iterator's length hint is exact: the lines not yet handed out.
+        lineno = len(lines) - length_hint(rest)
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def json_lines(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, Any]]:
+    """(line number, record) for each non-blank line of `numbered_lines`."""
+    for lineno, line in lines:
+        if not line.strip():
+            continue
         try:
-            return fh.read().split("\n")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}:{_first_non_utf8_line(path)}: not UTF-8 text") from None
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{exc.msg} at column {exc.colno}") from None
+        yield lineno, record
 
 
 def parse_int(text: str, name: str) -> int:
@@ -87,32 +122,3 @@ def parse_int(text: str, name: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"{name} is not an integer: {text!r}") from None
-
-
-def read_jsonl(path: str) -> list[tuple[int, Any]]:
-    """(line number, record) for each non-blank line of a JSON-lines file.
-
-    A syntax error or text that is not UTF-8 raises ValueError naming
-    `path:line`.
-    """
-    records = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append((lineno, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc.msg} at column {exc.colno}") from None
-    return records
-
-
-def _first_non_utf8_line(path: str) -> int:
-    # The text reader decodes in chunks, and its error's offset counts from
-    # the start of the chunk, not of the file.
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    raise AssertionError(f"{path} decodes as UTF-8")

@@ -83,9 +83,10 @@ class BoundaryIndex:
         self.starts: dict[str, tuple[int, ...]] = {}
         self.ends: dict[str, tuple[int, ...]] = {}
         for name, pattern in ALPHABET.items():
+            # Only the anchors match empty, so finditer's starts and ends increase.
             spans = [m.span() for m in pattern.finditer(s)]
-            self.starts[name] = tuple(sorted({b for b, _ in spans}))
-            self.ends[name] = tuple(sorted({e for _, e in spans}))
+            self.starts[name] = tuple(b for b, _ in spans)
+            self.ends[name] = tuple(e for _, e in spans)
         self._pairs: dict[tuple[str, str], tuple[int, ...]] = {}
         self._ending_at: Optional[dict[int, tuple[str, ...]]] = None
         self._starting_at: Optional[dict[int, tuple[str, ...]]] = None

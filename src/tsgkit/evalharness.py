@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .config import read_jsonl
+from .config import json_lines, numbered_lines
 from .extract import ParsedComponent, ParserRegistry, extract
 from .identify import classify_batch, fit, knn_bow_classify
 from .ingest import Statement, tokenize
@@ -21,18 +21,15 @@ from .vectorize import bow, build_vocabulary, encode
 def load_corpus(path: str) -> list[tuple[Statement, str]]:
     """Line-delimited {"text", "label"} records; errors name `path:line`."""
     examples: list[tuple[Statement, str]] = []
-    for i, rec in read_jsonl(path):
-        if not (
-            isinstance(rec, dict)
-            and all(isinstance(rec.get(k), str) for k in ("text", "label"))
-        ):
-            raise ValueError(f"{path}:{i}: expected an object with string text and label")
-        text = rec["text"]
-        try:
-            stmt = Statement(text, i, i, tuple(tokenize(text)))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i}: {exc}") from None
-        examples.append((stmt, rec["label"]))
+    with numbered_lines(path) as lines:
+        for i, rec in json_lines(lines):
+            if not (
+                isinstance(rec, dict)
+                and all(isinstance(rec.get(k), str) for k in ("text", "label"))
+            ):
+                raise ValueError("expected an object with string text and label")
+            text = rec["text"]
+            examples.append((Statement(text, i, i, tuple(tokenize(text))), rec["label"]))
     return examples
 
 
@@ -64,9 +61,11 @@ class ClassMetrics:
 
 @dataclass
 class Metrics:
-    per_class: dict[str, ClassMetrics]
-    macro_f1: float
+    """Fields in the order `metrics_to_json` writes them; per_class in label order."""
+
     accuracy: float
+    macro_f1: float
+    per_class: dict[str, ClassMetrics]
 
 
 def metrics_from_predictions(pairs: list[tuple[str, str]]) -> Metrics:
@@ -90,7 +89,7 @@ def metrics_from_predictions(pairs: list[tuple[str, str]]) -> Metrics:
         if support:
             per_class[label] = ClassMetrics(precision, recall, f1, support)
             f1s.append(f1)
-    return Metrics(per_class, sum(f1s) / len(f1s) if f1s else 0.0, correct / len(pairs))
+    return Metrics(correct / len(pairs), sum(f1s) / len(f1s) if f1s else 0.0, per_class)
 
 
 def stratified_folds(
@@ -180,22 +179,7 @@ def format_metrics_table(name: str, m: Metrics) -> str:
 
 
 def metrics_to_json(results: dict[str, Metrics]) -> str:
-    payload = {}
-    for name, m in results.items():
-        payload[name] = {
-            "accuracy": m.accuracy,
-            "macro_f1": m.macro_f1,
-            "per_class": {
-                label: {
-                    "precision": cm.precision,
-                    "recall": cm.recall,
-                    "f1": cm.f1,
-                    "support": cm.support,
-                }
-                for label, cm in sorted(m.per_class.items())
-            },
-        }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps({name: asdict(m) for name, m in results.items()}, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

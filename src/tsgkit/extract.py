@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from .clauses import Lexicon, tag_clauses
-from .config import read_lines
+from .config import numbered_lines
 from .dsl import EvalFailure, ExtractionProgram, eval_program, parse, serialize
 from .ingest import Statement, Warning_
 
@@ -38,6 +38,19 @@ class ParserRegistry:
     entries: list[RegistryEntry] = field(default_factory=list)
 
     def put(self, entry: RegistryEntry) -> None:
+        """Add `entry`, or replace the entry of its component and constituent.
+
+        A component's repeating entries are extracted together: their flags must match."""
+        clash = [
+            e for e in self.for_component(entry.component)
+            if e.repeats and e.constituent != entry.constituent and e.preprocess != entry.preprocess
+        ]
+        if entry.repeats and clash:
+            raise ValueError(
+                f"repeating {entry.component}.{entry.constituent} has preprocess flags "
+                f"{list(entry.preprocess)}, but repeating {entry.component}."
+                f"{clash[0].constituent} has {list(clash[0].preprocess)}"
+            )
         for i, existing in enumerate(self.entries):
             if (existing.component, existing.constituent) == (
                 entry.component,
@@ -65,40 +78,35 @@ def save_registry(registry: ParserRegistry, path: str) -> None:
 def load_registry(path: str) -> ParserRegistry:
     """Errors name `path:line`."""
     registry = ParserRegistry()
-    # Only "\n" ends an entry, as read_lines splits: str.splitlines() would
-    # also split on characters a program constant may hold, such as U+2028.
-    lines = read_lines(path)
-    if not lines or lines[0] != REGISTRY_HEADER:
-        raise ValueError(f"{path}: not a parser registry file")
-    try:
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            fields = line.split("\t", 4)
-            if len(fields) != 5:
-                raise ValueError(
-                    "expected 5 tab-separated fields (component, constituent, "
-                    f"repeats, preprocess, program), got {len(fields)}"
+    with numbered_lines(path) as lines:
+        if next(lines)[1] == REGISTRY_HEADER:
+            for _, line in lines:
+                if not line.strip():
+                    continue
+                fields = line.split("\t", 4)
+                if len(fields) != 5:
+                    raise ValueError(
+                        "expected 5 tab-separated fields (component, constituent, "
+                        f"repeats, preprocess, program), got {len(fields)}"
+                    )
+                component, constituent, repeats, flags, text = fields
+                if repeats not in ("0", "1"):
+                    raise ValueError(f"repeats must be 0 or 1, got {repeats!r}")
+                preprocess = () if flags == "-" else tuple(flags.split(","))
+                for flag in preprocess:
+                    if flag not in PREPROCESS_FLAGS:
+                        raise ValueError(f"unknown preprocess flag {flag!r}")
+                registry.put(
+                    RegistryEntry(
+                        component,
+                        constituent,
+                        parse(text),
+                        repeats=repeats == "1",
+                        preprocess=preprocess,
+                    )
                 )
-            component, constituent, repeats, flags, text = fields
-            if repeats not in ("0", "1"):
-                raise ValueError(f"repeats must be 0 or 1, got {repeats!r}")
-            preprocess = () if flags == "-" else tuple(flags.split(","))
-            for flag in preprocess:
-                if flag not in PREPROCESS_FLAGS:
-                    raise ValueError(f"unknown preprocess flag {flag!r}")
-            registry.put(
-                RegistryEntry(
-                    component,
-                    constituent,
-                    parse(text),
-                    repeats=repeats == "1",
-                    preprocess=preprocess,
-                )
-            )
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return registry
+            return registry
+    raise ValueError(f"{path}: not a parser registry file")
 
 
 @dataclass

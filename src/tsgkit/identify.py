@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import parse_int, read_lines
+from .config import numbered_lines, parse_int
 from .ingest import Statement
 from .siamese import (
     DENSE_DIM, Hyper, SiameseModel, embed_batch, sample_pairs, similarity_from_embeddings, train,
@@ -119,9 +119,8 @@ def save_prototypes(protos: list[Prototype], path: str) -> None:
 def load_prototypes(path: str) -> list[Prototype]:
     """Errors name `path:line`; each vector must have DENSE_DIM values."""
     protos = []
-    lines = read_lines(path)
-    try:
-        for lineno, line in enumerate(lines, start=1):
+    with numbered_lines(path) as lines:
+        for _, line in lines:
             if not line.strip():
                 continue
             fields = line.split("\t")
@@ -135,8 +134,6 @@ def load_prototypes(path: str) -> list[Prototype]:
             if len(vec) != DENSE_DIM:
                 raise ValueError(f"prototype has {len(vec)} values, not {DENSE_DIM}")
             protos.append(Prototype(label, vec, parse_int(count, "support count")))
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
     return protos
 
 

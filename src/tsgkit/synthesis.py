@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Optional
 
-from .config import read_jsonl
+from .config import json_lines, numbered_lines
 from .dsl import (
     ALPHABET,
     AbsPos,
@@ -116,49 +116,33 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
     Inputs of tag_clauses specs are tagged at load time, so synthesis sees
     the same text extraction will see.  Errors name `path:line`.
     """
-    records = read_jsonl(path)
-    if not records:
-        raise ValueError(f"{path}: empty spec file")
-    lineno, header = records[0]
-    if not (
-        isinstance(header, dict)
-        and all(isinstance(header.get(k), str) for k in ("component", "constituent"))
-        and isinstance(header.get("repeats", False), bool)
-        and isinstance(header.get("preprocess", []), list)
-    ):
-        raise ValueError(
-            f"{path}:{lineno}: header needs string component and constituent, "
-            "bool repeats, list preprocess"
-        )
-    flags = tuple(header.get("preprocess", ()))
-    for flag in flags:
-        if flag not in PREPROCESS_FLAGS:
-            raise ValueError(f"{path}:{lineno}: unknown preprocess flag {flag!r}")
     pairs: list[tuple[str, str]] = []
     negatives: list[str] = []
-    for lineno, rec in records[1:]:
-        if not (
-            isinstance(rec, dict)
-            and isinstance(rec.get("input"), str)
-            and isinstance(rec.get("output"), (str, type(None)))
-            and rec.get("output") != ""
-        ):
-            raise ValueError(
-                f"{path}:{lineno}: example needs a string input "
-                "and a non-empty string or null output"
-            )
-        text = rec["input"]
-        if "tag_clauses" in flags:
-            from .clauses import Lexicon, tag_clauses
+    with numbered_lines(path) as lines:
+        records = (rec for _, rec in json_lines(lines))
+        header = next(records, None)
+        flags = () if header is None else _spec_flags(header)
+        for rec in records:
+            if not (
+                isinstance(rec, dict)
+                and isinstance(rec.get("input"), str)
+                and isinstance(rec.get("output"), (str, type(None)))
+                and rec.get("output") != ""
+            ):
+                raise ValueError(
+                    "example needs a string input and a non-empty string or null output"
+                )
+            text = rec["input"]
+            if "tag_clauses" in flags:
+                from .clauses import Lexicon, tag_clauses
 
-            try:
                 text = tag_clauses(text, lexicon or Lexicon())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if rec.get("output") is None:
-            negatives.append(text)
-        else:
-            pairs.append((text, rec["output"]))
+            if rec.get("output") is None:
+                negatives.append(text)
+            else:
+                pairs.append((text, rec["output"]))
+    if header is None:
+        raise ValueError(f"{path}: empty spec file")
     if not pairs:
         raise ValueError(f"{path}: spec needs at least one input/output pair")
     return ExampleSpec(
@@ -169,6 +153,24 @@ def load_spec(path: str, lexicon=None) -> ExampleSpec:
         repeats=header.get("repeats", False),
         preprocess=flags,
     )
+
+
+def _spec_flags(header) -> tuple[str, ...]:
+    """The preprocess flags of a valid spec header record."""
+    if not (
+        isinstance(header, dict)
+        and all(isinstance(header.get(k), str) for k in ("component", "constituent"))
+        and isinstance(header.get("repeats", False), bool)
+        and isinstance(header.get("preprocess", []), list)
+    ):
+        raise ValueError(
+            "header needs string component and constituent, bool repeats, list preprocess"
+        )
+    flags = tuple(header.get("preprocess", ()))
+    for flag in flags:
+        if flag not in PREPROCESS_FLAGS:
+            raise ValueError(f"unknown preprocess flag {flag!r}")
+    return flags
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .config import parse_int, read_lines
+from .config import numbered_lines, parse_int
 from .ingest import Statement
 
 PAD = 0
@@ -52,9 +52,8 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
 def load_vocabulary(path: str) -> Vocabulary:
     """Errors name `path:line`."""
     mapping: dict[str, int] = {}
-    lines = read_lines(path)
-    try:
-        for lineno, line in enumerate(lines, start=1):
+    with numbered_lines(path) as lines:
+        for _, line in lines:
             if line:
                 fields = line.rsplit("\t", 1)
                 if len(fields) != 2:
@@ -63,8 +62,6 @@ def load_vocabulary(path: str) -> Vocabulary:
                     )
                 tok, idx = fields
                 mapping[tok] = parse_int(idx, "id")
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
     return Vocabulary(mapping)
 
 

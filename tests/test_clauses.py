@@ -112,6 +112,8 @@ def test_bundled_lexicon_loads():
     assert "in case" in lex.subordinators
     assert "then" in lex.second_clause_signals
     assert "it is" in lex.second_clause_signals
+    # The CLI loads the file; library callers get the defaults.
+    assert lex == Lexicon()
 
 
 def test_custom_lexicon_changes_behavior(tmp_path):

@@ -1,12 +1,25 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import pathlib
+import re
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tsgkit.clauses import load_lexicon
 from tsgkit.cli import main
-from tsgkit.config import data_path
+from tsgkit.config import data_path, load_config, read_text
+from tsgkit.evalharness import ClassMetrics, Metrics, format_metrics_table, load_corpus
+from tsgkit.extract import load_registry
+from tsgkit.identify import load_prototypes
+from tsgkit.synthesis import load_spec
+from tsgkit.vectorize import load_vocabulary
 
 
 def tiny_corpus(tmp_path):
@@ -167,6 +180,26 @@ def test_malformed_record_is_input_error(tmp_path, capsys, command, body, line):
 
 
 @pytest.mark.parametrize(
+    "body, message",
+    [
+        ("", "empty spec file"),
+        ("\n  \n", "empty spec file"),
+        (
+            SPEC_HEADER + '{"input": "a", "output": null}\n',
+            "spec needs at least one input/output pair",
+        ),
+    ],
+    ids=["empty", "blank-lines", "negatives-only"],
+)
+def test_spec_without_pairs_is_input_error_naming_the_file(tmp_path, capsys, body, message):
+    cfg = config_file(tmp_path)
+    path = tmp_path / "spec.jsonl"
+    path.write_text(body)
+    assert run("--config", cfg, "synthesize", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "command, body",
     [
         ("train", b'{"text": "a", "label": "x"}\n' * 400 + b'{"text": "\xff", "label": "x"}\n'),
@@ -324,6 +357,104 @@ def test_config_that_is_not_utf8_is_config_error_naming_the_line(tmp_path, capsy
     assert capsys.readouterr().err == f"config error: {cfg}:9: not UTF-8 text\n"
 
 
+def test_registry_of_repeating_entries_with_differing_flags_is_input_error(
+    tmp_path, capsys, artifacts
+):
+    shutil.copytree(artifacts, tmp_path / "art")
+    cfg = config_file(tmp_path)
+    path = tmp_path / "art" / "registry.txt"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('ps\tcmd\t1\tsplit_pipes\tconst("x")\nps\twhole\t1\t-\tconst("y")\n')
+    tsg = tmp_path / "t.md"
+    tsg.write_text("StormEvents | count\n")
+    assert run("--config", cfg, "automate", str(tsg)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:4: repeating ps.whole has preprocess flags [], "
+        "but repeating ps.cmd has ['split_pipes']\n"
+    )
+
+
+def test_synthesize_of_conflicting_repeating_spec_keeps_the_registry(tmp_path, capsys):
+    cfg = config_file(tmp_path)
+    spec = os.path.join(data_path("specs"), "powershell_param_name.jsonl")
+    assert run("--config", cfg, "--quiet", "synthesize", spec) == 0
+    registry = tmp_path / "art" / "registry.txt"
+    before = registry.read_bytes()
+    conflicting = tmp_path / "whole.jsonl"
+    conflicting.write_text(
+        '{"component": "powershell", "constituent": "whole", "repeats": true}\n'
+        '{"input": "Get-X -A 1", "output": "Get-X -A 1"}\n'
+    )
+    capsys.readouterr()
+    assert run("--config", cfg, "--quiet", "synthesize", str(conflicting)) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: repeating powershell.whole has preprocess flags [], "
+        "but repeating powershell.param_name has ['split_pipes']\n",
+    )
+    assert registry.read_bytes() == before
+
+
+# Each line-oriented input, as what its loader gives in comparable form.
+LINE_LOADERS = {
+    "vocab.tsv": load_vocabulary,
+    "protos.tsv": lambda path: [
+        (p.label, p.support_count, p.vector.tolist()) for p in load_prototypes(path)
+    ],
+    "registry.txt": load_registry,
+    "lexicon.txt": load_lexicon,
+    "config.txt": load_config,
+    "corpus.jsonl": load_corpus,
+    "spec.jsonl": load_spec,
+}
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_inputs_with_other_line_ends_load_the_same(tmp_path, artifacts, newline):
+    shutil.copytree(artifacts, tmp_path / "art")
+    cfg = config_file(tmp_path)
+    sources = {
+        "vocab.tsv": tmp_path / "art" / "vocab.tsv",
+        "protos.tsv": tmp_path / "art" / "protos.tsv",
+        "registry.txt": tmp_path / "art" / "registry.txt",
+        "lexicon.txt": data_path("lexicon.txt"),
+        "config.txt": cfg,
+        "corpus.jsonl": data_path("corpus.jsonl"),
+        "spec.jsonl": os.path.join(data_path("specs"), "nl_condition.jsonl"),
+        "sample_tsg.md": data_path("sample_tsg.md"),
+    }
+    other = tmp_path / "other"
+    other.mkdir()
+    for name, source in sources.items():
+        with open(source, "rb") as fh:
+            (other / name).write_bytes(fh.read().replace(b"\n", newline))
+    for name, load in LINE_LOADERS.items():
+        assert load(str(other / name)) == load(str(sources[name])), name
+    bad = other / "bad.txt"
+    bad.write_bytes(b"a" + newline + newline + b"\xff" + newline)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:3: not UTF-8 text$"):
+        read_text(str(bad))
+    outputs = []
+    for guide in (sources["sample_tsg.md"], other / "sample_tsg.md"):
+        out_dir = tmp_path / f"out{len(outputs)}"
+        argv = ["automate", str(guide), "--out-dir", str(out_dir)]
+        assert run("--config", cfg, "--quiet", *argv) == 0
+        outputs.append([(out_dir / f).read_bytes() for f in sorted(os.listdir(out_dir))])
+    assert outputs[0] == outputs[1]
+
+
+def test_vocabulary_id_outside_the_model_is_input_error(tmp_path, capsys, artifacts):
+    shutil.copytree(artifacts, tmp_path / "art")
+    cfg = config_file(tmp_path)
+    path = tmp_path / "art" / "vocab.tsv"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("unseen\t9999\n")
+    # The statement does not hold the token, so only the load can catch it.
+    assert run("--config", cfg, "classify", "anything") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: id 9999 is outside the model's vocabulary of ")
+
+
 def test_model_header_max_len_above_limit_is_input_error(tmp_path, capsys, artifacts):
     shutil.copytree(artifacts, tmp_path / "art")
     cfg = config_file(tmp_path)
@@ -343,7 +474,7 @@ def test_guide_that_is_not_utf8_names_the_file(tmp_path, capsys, artifacts):
     tsg = tmp_path / "t.md"
     tsg.write_bytes(b"StormEvents | count\n\xff\n")
     assert run("--config", cfg, "automate", str(tsg)) == 2
-    assert capsys.readouterr().err == f"error: {tsg}: not UTF-8 text\n"
+    assert capsys.readouterr().err == f"error: {tsg}:2: not UTF-8 text\n"
 
 
 def test_config_value_of_wrong_type_names_line(tmp_path, capsys):
@@ -505,6 +636,31 @@ def test_eval_k_larger_than_class_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: class 'kusto' has 3 < k=9 examples\n"
 
 
+def test_eval_prints_and_writes_the_same_metrics_on_every_run(tmp_path, capsys):
+    cfg = config_file(tmp_path, epochs=1, n_pairs=8, knn_k=2)
+    corpus = tiny_corpus(tmp_path)
+    runs = []
+    for name in ("one.json", "two.json"):
+        out = tmp_path / name
+        argv = ["--seed", "3", "eval", corpus, "--k", "2", "--json-out", str(out)]
+        assert run("--config", cfg, *argv) == 0
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
+    stdout, blob = runs[0]
+    results = json.loads(blob)
+    assert list(results) == ["siamese", "knn_bow"]
+    tables = []
+    for name, m in results.items():
+        assert list(m) == ["accuracy", "macro_f1", "per_class"]
+        assert list(m["per_class"]) == ["kusto", "natural_language", "powershell"]
+        for cm in m["per_class"].values():
+            assert list(cm) == ["precision", "recall", "f1", "support"]
+        per_class = {label: ClassMetrics(**cm) for label, cm in m["per_class"].items()}
+        metrics = Metrics(**{**m, "per_class": per_class})
+        tables.append(format_metrics_table(name, metrics) + "\n\n")
+    assert stdout == "".join(tables)
+
+
 @pytest.mark.parametrize("knn_k", ["0", "-1"])
 def test_eval_knn_k_below_one_is_config_error_before_any_fit(
     tmp_path, capsys, monkeypatch, knn_k
@@ -556,3 +712,92 @@ def test_automate_creates_the_out_dir(tmp_path, capsys, artifacts):
     assert run("--config", cfg, "--quiet", "automate", str(tsg), "--out-dir", str(out_dir)) == 0
     assert sorted(os.listdir(out_dir)) == ["t.schema.json", "t.workflow.json"]
     assert capsys.readouterr().err == ""
+
+
+# --- mutated inputs ----------------------------------------------------------
+
+# The command that reads each input, by its path in the input directory.
+# Every command also reads the configuration.
+AUTOMATE = ["automate", "{root}/t.md", "--out-dir", "{root}/out"]
+MUTANT_COMMANDS = {
+    "art/vocab.tsv": AUTOMATE,
+    "art/protos.tsv": AUTOMATE,
+    "art/model.bin": AUTOMATE,
+    "art/registry.txt": AUTOMATE,
+    "art/lexicon.txt": AUTOMATE,
+    "config.txt": AUTOMATE,
+    "t.md": AUTOMATE,
+    "corpus.jsonl": ["--seed", "1", "train", "{root}/corpus.jsonl"],
+    "spec.jsonl": ["synthesize", "{root}/spec.jsonl"],
+}
+PATH_KEYS = ("vocab", "model", "prototypes", "registry", "lexicon")
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(artifacts, tmp_path_factory):
+    """A directory with a valid copy of every input `MUTANT_COMMANDS` names,
+    bar the configuration, which names paths inside each copy."""
+    root = tmp_path_factory.mktemp("inputs")
+    shutil.copytree(artifacts, root / "art")
+    shutil.copy(data_path("lexicon.txt"), root / "art" / "lexicon.txt")
+    shutil.copy(tiny_corpus(tmp_path_factory.mktemp("corpus")), root / "corpus.jsonl")
+    shutil.copy(os.path.join(data_path("specs"), "demo_domain.jsonl"), root / "spec.jsonl")
+    (root / "t.md").write_text(
+        "# Stale mailboxes\n\nRun `Get-Mailbox -Identity x | Format-List`.\n\n"
+        "```\nStormEvents | where State == 'TEXAS' | count\n```\n"
+    )
+    return root
+
+
+def mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for at, kind, byte in edits:
+        i = at % (len(out) + 1)
+        if kind == "insert":
+            out[i:i] = bytes([byte])
+        elif i < len(out):
+            if kind == "delete":
+                del out[i]
+            else:
+                out[i] = byte
+    return bytes(out)
+
+
+def config_paths(path: str) -> dict[str, str]:
+    """The paths a configuration names, or none where it does not load."""
+    try:
+        cfg = load_config(path)
+    except ValueError:
+        return {}
+    return {key: getattr(cfg, key) for key in PATH_KEYS}
+
+
+EDIT = st.tuples(
+    st.integers(0, 1 << 16),
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.one_of(st.sampled_from(list(b'\t\n\r ,.=-"{}[]0#\\\xff')), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=45, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(MUTANT_COMMANDS)), st.lists(EDIT, min_size=1, max_size=3))
+def test_mutated_input_fails_cleanly_naming_its_file(valid_inputs, name, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        shutil.copytree(valid_inputs, root, dirs_exist_ok=True)
+        cfg = config_file(root, lexicon=root / "art" / "lexicon.txt", epochs=1, n_pairs=8)
+        before = config_paths(cfg)
+        path = root / name
+        path.write_bytes(mutate(path.read_bytes(), edits))
+        argv = [arg.format(root=root) for arg in MUTANT_COMMANDS[name]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("--config", cfg, "--quiet", *argv)
+        message = err.getvalue()
+        assert code in (0, 2, 3, 4), message
+        assert "Traceback" not in message
+        if code in (2, 3):
+            # A mutated configuration may now name another path.
+            now = config_paths(cfg)
+            named = [str(path)] + [now[k] for k in now if now[k] != before[k]]
+            assert any(p in message for p in named), (message, named)

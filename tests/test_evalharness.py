@@ -3,10 +3,14 @@ import collections
 import pytest
 
 from tsgkit.evalharness import (
+    ClassMetrics,
+    Metrics,
     cap_classes,
+    format_metrics_table,
     kfold_eval,
     load_corpus,
     metrics_from_predictions,
+    metrics_to_json,
     parsing_report,
     stratified_folds,
 )
@@ -128,6 +132,72 @@ def test_metrics_match_confusion_matrix_oracle():
 def test_f1_zero_when_precision_and_recall_zero():
     metrics = metrics_from_predictions([("a", "b"), ("b", "a")])
     assert metrics.per_class["a"].f1 == 0.0
+
+
+def hand_built_results():
+    return {
+        "siamese": Metrics(
+            per_class={
+                "kusto": ClassMetrics(precision=0.5, recall=1.0, f1=2 / 3, support=2),
+                "powershell": ClassMetrics(precision=1.0, recall=0.25, f1=0.4, support=4),
+            },
+            macro_f1=(2 / 3 + 0.4) / 2,
+            accuracy=0.5,
+        ),
+        "knn_bow": Metrics(
+            per_class={"kusto": ClassMetrics(precision=1.0, recall=1.0, f1=1.0, support=2)},
+            macro_f1=1.0,
+            accuracy=1.0,
+        ),
+    }
+
+
+def test_metrics_table_bytes():
+    assert format_metrics_table("siamese", hand_built_results()["siamese"]) == (
+        "siamese\n"
+        "class              precision    recall        f1   support\n"
+        "kusto                  0.500     1.000     0.667         2\n"
+        "powershell             1.000     0.250     0.400         4\n"
+        "macro f1               0.533\n"
+        "accuracy               0.500"
+    )
+
+
+def test_metrics_json_bytes():
+    assert metrics_to_json(hand_built_results()) == """\
+{
+  "siamese": {
+    "accuracy": 0.5,
+    "macro_f1": 0.5333333333333333,
+    "per_class": {
+      "kusto": {
+        "precision": 0.5,
+        "recall": 1.0,
+        "f1": 0.6666666666666666,
+        "support": 2
+      },
+      "powershell": {
+        "precision": 1.0,
+        "recall": 0.25,
+        "f1": 0.4,
+        "support": 4
+      }
+    }
+  },
+  "knn_bow": {
+    "accuracy": 1.0,
+    "macro_f1": 1.0,
+    "per_class": {
+      "kusto": {
+        "precision": 1.0,
+        "recall": 1.0,
+        "f1": 1.0,
+        "support": 2
+      }
+    }
+  }
+}
+"""
 
 
 # --- capping -----------------------------------------------------------------

@@ -139,6 +139,9 @@ def test_termination_on_shrinking_text():
 # --- registry ----------------------------------------------------------------
 
 
+PS_COMMAND = "sub(pos(StartAnchor,Alpha,-1),pos(Alpha,Whitespace,1))"
+
+
 def sample_registry():
     reg = ParserRegistry()
     reg.put(RegistryEntry("powershell", "param_name", prog(PARAM_NAME), True, ("split_pipes",)))
@@ -147,7 +150,7 @@ def sample_registry():
         RegistryEntry(
             "powershell",
             "command",
-            prog("sub(pos(StartAnchor,Alpha,-1),pos(Alpha,Whitespace,1))"),
+            prog(PS_COMMAND),
             False,
             ("split_pipes",),
         )
@@ -190,6 +193,37 @@ def test_registry_put_replaces_in_place():
         "param_name",
         "param_value",
         "command",
+    ]
+
+
+@pytest.mark.parametrize("order", [("cmd", "whole"), ("whole", "cmd")])
+def test_registry_rejects_repeating_entries_of_differing_flags(order):
+    # All repeating entries of a component run over one set of segments.
+    entries = {
+        "cmd": RegistryEntry("ps", "cmd", prog(PS_COMMAND), True, ("split_pipes",)),
+        "whole": RegistryEntry("ps", "whole", prog("sub(abs(0),abs(-1))"), True, ()),
+    }
+    first, second = (entries[name] for name in order)
+    reg = ParserRegistry()
+    reg.put(first)
+    with pytest.raises(ValueError) as err:
+        reg.put(second)
+    assert str(err.value) == (
+        f"repeating ps.{second.constituent} has preprocess flags "
+        f"{list(second.preprocess)}, but repeating ps.{first.constituent} has "
+        f"{list(first.preprocess)}"
+    )
+    assert reg.entries == [first]
+
+
+def test_registry_flag_check_spares_replaced_and_single_entries():
+    reg = ParserRegistry()
+    reg.put(RegistryEntry("ps", "cmd", prog(PS_COMMAND), True, ("split_pipes",)))
+    reg.put(RegistryEntry("ps", "cmd", prog(PS_COMMAND), True, ()))
+    reg.put(RegistryEntry("ps", "name", prog(PS_COMMAND), False, ("split_pipes",)))
+    reg.put(RegistryEntry("other", "whole", prog(PS_COMMAND), True, ("split_pipes",)))
+    assert [(e.constituent, e.preprocess) for e in reg.entries] == [
+        ("cmd", ()), ("name", ("split_pipes",)), ("whole", ("split_pipes",))
     ]
 
 

@@ -21,6 +21,7 @@ from tsgkit.dsl import (
     ExtractionProgram,
     Predicate,
     RegPos,
+    SubStr,
     eval_program,
     program_key,
     serialize,
@@ -317,6 +318,12 @@ def test_branch_search_matches_two_step_reference(bundled_specs):
     # adds outputs that need a constant between two spans.
     specs = list(bundled_specs.values())
     specs.append(spec_of([("alice 7", "alice#7"), ("bob 22", "bob#22"), ("x y", "y#x")]))
+    # Second outputs that lack the first's constant, hold it elsewhere, or
+    # leave a span empty, and a first output of more parts than max_atoms.
+    specs.append(spec_of([("alice 7", "alice#7"), ("bob 22", "bob 22"), ("bob 2", "#2")]))
+    specs.append(spec_of([("x 7", "#x"), ("a b", "a#b")]))
+    specs.append(spec_of([("x 7", "x#"), ("b c", "b#c")]))
+    specs.append(spec_of([("a b c d", "a#b#c#d")]))
     for seed in (3, 11):
         rows = kusto_rows(seed)
         specs += [three_format_spec(rows, n) for n in range(3, 10)]
@@ -359,6 +366,14 @@ def repeated_slot_pairs(draw):
 @given(repeated_slot_pairs())
 def test_branch_search_matches_reference_on_repeated_slot_texts(pairs):
     assert branch_text(learn_branch(pairs)) == branch_text(reference_branch(pairs))
+
+
+def test_branch_that_misses_a_pair_is_not_returned(monkeypatch):
+    # Each slot atom yields its pair's text by construction; a wrong one
+    # must still not come back as the branch.
+    wrong = SubStr(AbsPos(0), AbsPos(1))
+    monkeypatch.setattr(synthesis, "_slot_atom", lambda *args: wrong)
+    assert learn_branch([("alice 7", "alice#7"), ("bob 22", "bob#22")]) is None
 
 
 @given(st.text("ab1 .-$|", max_size=14))
